@@ -676,22 +676,42 @@ func BenchmarkSymbolicVsExplicit(b *testing.B) {
 	})
 }
 
-// BenchmarkTesterValidation measures Monte-Carlo timed validation of a
-// generated program (the §2/§6 delay-independence claim).
-func BenchmarkTesterValidation(b *testing.B) {
-	c, err := LoadBenchmark("si/chu150")
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkValidateOnTester measures Monte-Carlo timed validation (the
+// §2/§6 delay-independence claim) over the Table-1 suite's input-SA
+// results: 8 random delay assignments per program on the good chip and
+// per detected fault on its faulty chip.  Any validation error fails
+// the bench; trials/sec counts one timed run of one program as a trial.
+func BenchmarkValidateOnTester(b *testing.B) {
+	const trials = 8
+	type workload struct {
+		g   *CSSG
+		res *Result
 	}
-	g, res, err := GenerateForCircuit(c, InputStuckAt, Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	var work []workload
+	perPass := 0
+	for _, bm := range SpeedIndependentSuite() {
+		g, res, err := GenerateForCircuit(bm.Circuit, InputStuckAt, Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		work = append(work, workload{g, res})
+		perPass += trials * len(res.Tests)
+		for _, fr := range res.PerFault {
+			if fr.Detected {
+				perPass += trials
+			}
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ValidateOnTester(g, res, 5, 1); err != nil {
-			b.Fatal(err)
+		for _, w := range work {
+			if err := ValidateOnTester(w.g, w.res, trials, 1); err != nil {
+				b.Fatalf("%s: %v", w.g.C.Name, err)
+			}
 		}
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(perPass)*float64(b.N)/secs, "trials/sec")
 	}
 }
 

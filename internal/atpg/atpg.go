@@ -77,9 +77,9 @@ type Test struct {
 // FaultResult records the outcome for one fault.
 type FaultResult struct {
 	Fault      faults.Fault
+	TestIndex  int // index into Result.Tests (when detected)
 	Detected   bool
 	Phase      Phase
-	TestIndex  int  // index into Result.Tests (when detected)
 	Untestable bool // product search exhausted: no guaranteed test exists
 	Aborted    bool // resource cap hit before a conclusion
 }

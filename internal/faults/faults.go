@@ -36,9 +36,9 @@ const (
 
 // Fault is a single stuck-at fault site.
 type Fault struct {
+	Gate  int // gate index in the circuit (includes input buffers)
+	Pin   int // fanin pin index for InputSA; -1 for OutputSA
 	Type  Type
-	Gate  int     // gate index in the circuit (includes input buffers)
-	Pin   int     // fanin pin index for InputSA; -1 for OutputSA
 	Value logic.V // stuck value: Zero or One
 }
 
