@@ -160,18 +160,13 @@ func BenchmarkParallelVsSerialFaultSim(b *testing.B) {
 //   - serial-per-pattern: the scalar ternary machine, one fault × one
 //     sequence at a time (the pre-fsim baseline), on a 64-sequence
 //     batch;
-//   - sweep-1 / sharded-N: the full-Jacobi-sweep fsim engine on the
-//     same 64-sequence batch, full universe (NoCollapse) so the number
-//     compares the sweep core itself against the pre-unification
-//     engine;
-//   - event-1: the event-driven cone-limited engine (the default) on
-//     the same batch — same detected set, a fraction of the gate
-//     evaluations;
-//   - collapsed-1: the default configuration — event engine,
-//     representatives only, verdicts fanned out — on the same batch;
-//   - wide/<engine>/lanes-64|128|256: a 256-sequence workload chunked
-//     by lane width, for both engines — the multi-word throughput and
-//     the convergence-coupling comparison.
+//   - event-1: the event-driven cone-limited engine on the same
+//     batch, full universe (NoCollapse);
+//   - sharded-N: the same on N workers — the work-stealing pool path;
+//   - collapsed-1: the default configuration — representatives only,
+//     verdicts fanned out — on the same batch;
+//   - wide/event/lanes-64|128|256: a 256-sequence workload chunked by
+//     lane width — the multi-word throughput.
 //
 // Every variant drops a fault at its first detection, and every variant
 // must report the same detected count — asserted against the scalar
@@ -243,55 +238,46 @@ func BenchmarkFaultSimEngines(b *testing.B) {
 	// The sharded variant always runs with 4 workers so the worker-pool
 	// path is measured even on small hosts; on machines with more cores
 	// a GOMAXPROCS-wide variant is added too.
-	workers := []int{1, 4}
+	b.Run("event-1", func(b *testing.B) {
+		runEngine(b, seqs, fsim.Options{Workers: 1, NoCollapse: true}, want)
+	})
+	workers := []int{4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		workers = append(workers, n)
 	}
 	for _, w := range workers {
-		name := "sweep-1"
-		if w != 1 {
-			name = "sharded-" + strconv.Itoa(w)
-		}
-		w := w
-		b.Run(name, func(b *testing.B) {
-			runEngine(b, seqs, fsim.Options{Workers: w, Engine: fsim.EngineSweep, NoCollapse: true}, want)
+		b.Run("sharded-"+strconv.Itoa(w), func(b *testing.B) {
+			runEngine(b, seqs, fsim.Options{Workers: w, NoCollapse: true}, want)
 		})
 	}
-	b.Run("event-1", func(b *testing.B) {
-		runEngine(b, seqs, fsim.Options{Workers: 1, Engine: fsim.EngineEvent, NoCollapse: true}, want)
-	})
 	b.Run("collapsed-1", func(b *testing.B) {
 		runEngine(b, seqs, fsim.Options{Workers: 1}, want)
 	})
 
 	// Multi-word pattern throughput: the same fault universe against a
-	// 256-sequence workload, chunked by lane width, for both engines.
-	// A sweep batch settles until its slowest lane converges, which is
-	// why 128 sweep lanes were near break-even; the event engine only
-	// re-evaluates gates with active lanes, decoupling the batch from
-	// its slowest member.
+	// 256-sequence workload, chunked by lane width.  The engine only
+	// re-evaluates gates with active lanes, so a batch is not coupled
+	// to its slowest member.
 	wideSeqs := mkSeqs(256)
 	wideWant := serialFaultSim(c, universe, wideSeqs)
-	for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-		for _, lw := range []int{64, 128, 256} {
-			eng, lw := eng, lw
-			b.Run("wide/"+eng.String()+"/lanes-"+strconv.Itoa(lw), func(b *testing.B) {
-				runEngine(b, wideSeqs, fsim.Options{Workers: 1, Lanes: lw, Engine: eng, NoCollapse: true}, wideWant)
-				b.ReportMetric(float64(lw), "lanes")
-			})
-		}
+	for _, lw := range []int{64, 128, 256} {
+		b.Run("wide/event/lanes-"+strconv.Itoa(lw), func(b *testing.B) {
+			runEngine(b, wideSeqs, fsim.Options{Workers: 1, Lanes: lw, NoCollapse: true}, wideWant)
+			b.ReportMetric(float64(lw), "lanes")
+		})
 	}
 }
 
-// BenchmarkEventVsSweepTable1 measures both fault-simulation engines on
-// the Table-1 workload: every speed-independent benchmark circuit, a
-// 256-walk random-pattern set, per fault model (input stuck-at, the
-// transition universe, and their union), at each lane width.  Reported
-// per variant: patterns/sec and gate-evals/pattern — the event engine
-// must detect exactly what the sweeps detect while evaluating far
-// fewer gates, on the combined universe included.  Sub-benchmark names
-// are model/engine/lanes-N, which is the shape cmd/benchjson parses
-// into the BENCH_*.json CI artifact.
+// BenchmarkEventVsSweepTable1 measures fault simulation on the Table-1
+// workload: every speed-independent benchmark circuit, a 256-walk
+// random-pattern set, per fault model (input stuck-at, the transition
+// universe, and their union), at each lane width.  Reported per
+// variant: patterns/sec and gate-evals/pattern; every width must detect
+// exactly what the 64-lane run detects.  Sub-benchmark names are
+// model/event/lanes-N, which is the shape cmd/benchjson parses into the
+// BENCH_*.json CI artifact.  The benchmark keeps the name it had when
+// it also measured the retired Jacobi-sweep engine, so its rows stay
+// comparable across BENCH files.
 func BenchmarkEventVsSweepTable1(b *testing.B) {
 	suite := SpeedIndependentSuite()
 	type workload struct {
@@ -333,12 +319,12 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 		}
 		// detectedAt takes the calling (sub-)benchmark's b: b.Fatal must
 		// run on the goroutine of the benchmark it fails.
-		detectedAt := func(b *testing.B, eng fsim.EngineKind, lanes int) (int, fsim.Stats) {
+		detectedAt := func(b *testing.B, lanes int) (int, fsim.Stats) {
 			b.Helper()
 			total := 0
 			var stats fsim.Stats
 			for _, w := range work {
-				s, err := fsim.New(w.c, w.universe, fsim.Options{Workers: 1, Lanes: lanes, Engine: eng})
+				s, err := fsim.New(w.c, w.universe, fsim.Options{Workers: 1, Lanes: lanes})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,27 +342,24 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 			}
 			return total, stats
 		}
+		wantDet, _ := detectedAt(b, 64)
 		for _, lanes := range []int{64, 128, 256} {
-			wantDet, _ := detectedAt(b, fsim.EngineSweep, lanes)
-			for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-				eng, lanes := eng, lanes
-				b.Run(model.name+"/"+eng.String()+"/lanes-"+strconv.Itoa(lanes), func(b *testing.B) {
-					var det int
-					var stats fsim.Stats
-					for i := 0; i < b.N; i++ {
-						det, stats = detectedAt(b, eng, lanes)
-					}
-					if det != wantDet {
-						b.Fatalf("%s %s at %d lanes detected %d faults, sweep oracle %d",
-							model.name, eng, lanes, det, wantDet)
-					}
-					b.ReportMetric(float64(det), "detected")
-					b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
-					if secs := b.Elapsed().Seconds(); secs > 0 {
-						b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
-					}
-				})
-			}
+			b.Run(model.name+"/event/lanes-"+strconv.Itoa(lanes), func(b *testing.B) {
+				var det int
+				var stats fsim.Stats
+				for i := 0; i < b.N; i++ {
+					det, stats = detectedAt(b, lanes)
+				}
+				if det != wantDet {
+					b.Fatalf("%s at %d lanes detected %d faults, 64 lanes %d",
+						model.name, lanes, det, wantDet)
+				}
+				b.ReportMetric(float64(det), "detected")
+				b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
+				}
+			})
 		}
 	}
 }
@@ -388,15 +371,15 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 // sub-benchmark name carries signals-N, which cmd/benchjson lifts into
 // the artifact's circuit-size dimension alongside engine and lane
 // width; reported metrics are patterns/sec, gate-evals/pattern and the
-// detected count.  Event and sweep must agree on the detected count at
-// every size and lane width — the multi-word parity assertion at
-// benchmark scale.
+// detected count.  Every lane width must agree on the detected count —
+// the multi-word parity assertion at benchmark scale.  These are the
+// rows CI runs long enough to gate patterns/sec on.
 func BenchmarkISCASScale(b *testing.B) {
 	const cycles = 12
-	// The full-sweep oracle costs O(classes × gates) per pattern, so the
-	// largest circuit runs a smaller sequence set to keep the CI smoke
-	// pass to one coffee, not one lunch; throughput metrics are
-	// per-pattern and stay comparable.
+	// The largest circuit runs a smaller sequence set (sized when a
+	// much slower engine shared this benchmark); throughput metrics are
+	// per-pattern, and keeping the sets fixed keeps the rows comparable
+	// across BENCH files.
 	nseqOf := map[string]int{"s27": 128, "s349": 128, "s953": 32}
 	for _, name := range []string{"s27", "s349", "s953"} {
 		nseq := nseqOf[name]
@@ -421,43 +404,40 @@ func BenchmarkISCASScale(b *testing.B) {
 			seqs[l] = seq
 		}
 		want := -1
-		for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-			for _, lw := range []int{64, 256} {
-				eng, lw := eng, lw
-				b.Run(fmt.Sprintf("%s/signals-%d/%s/lanes-%d", name, c.NumSignals(), eng, lw), func(b *testing.B) {
-					var detected int
-					var stats fsim.Stats
-					for i := 0; i < b.N; i++ {
-						s, err := fsim.New(c, universe, fsim.Options{Workers: 1, Lanes: lw, Engine: eng})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := s.SimulateSequences(seqs, nil, nil, func(int, *fsim.BatchResult) {}); err != nil {
-							b.Fatal(err)
-						}
-						detected = 0
-						for fi := range universe {
-							if s.Detected(fi) {
-								detected++
-							}
-						}
-						stats = s.Stats()
+		for _, lw := range []int{64, 256} {
+			b.Run(fmt.Sprintf("%s/signals-%d/event/lanes-%d", name, c.NumSignals(), lw), func(b *testing.B) {
+				var detected int
+				var stats fsim.Stats
+				for i := 0; i < b.N; i++ {
+					s, err := fsim.New(c, universe, fsim.Options{Workers: 1, Lanes: lw})
+					if err != nil {
+						b.Fatal(err)
 					}
-					if want < 0 {
-						want = detected
-					} else if detected != want {
-						b.Fatalf("%s %s lanes=%d detected %d faults, first variant %d",
-							name, eng, lw, detected, want)
+					if err := s.SimulateSequences(seqs, nil, nil, func(int, *fsim.BatchResult) {}); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(detected), "detected")
-					b.ReportMetric(float64(c.NumGates()), "gates")
-					b.ReportMetric(float64(c.StateWords()), "state-words")
-					b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
-					if secs := b.Elapsed().Seconds(); secs > 0 {
-						b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
+					detected = 0
+					for fi := range universe {
+						if s.Detected(fi) {
+							detected++
+						}
 					}
-				})
-			}
+					stats = s.Stats()
+				}
+				if want < 0 {
+					want = detected
+				} else if detected != want {
+					b.Fatalf("%s lanes=%d detected %d faults, first variant %d",
+						name, lw, detected, want)
+				}
+				b.ReportMetric(float64(detected), "detected")
+				b.ReportMetric(float64(c.NumGates()), "gates")
+				b.ReportMetric(float64(c.StateWords()), "state-words")
+				b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
+				}
+			})
 		}
 	}
 }

@@ -21,17 +21,19 @@
 // With -compare it additionally diffs the fresh run against a committed
 // baseline report, matching rows by benchmark name on the patterns/sec
 // metric, and exits nonzero when any sufficiently-measured row (at
-// least 100ms of benchmark time on both sides — a one-iteration row's
+// least 1s of benchmark time on both sides — a one-iteration row's
 // throughput is scheduler noise) regressed by more than -maxdrop
-// percent.  CI runs this against the previous PR's committed artifact,
-// so an engine-throughput regression fails the bench-smoke job rather
-// than silently shipping in the artifact.
+// percent, or when no row was measured long enough to be gated at all
+// (a gate that compares nothing would pass every regression).  CI runs
+// this against a committed baseline artifact, so an engine-throughput
+// regression fails the bench-smoke job rather than silently shipping
+// in the artifact.
 //
 // Usage:
 //
 //	go test -bench='...' -benchmem -benchtime=1x -run '^$' . | benchjson -out BENCH_pr4.json
 //	benchjson -in bench.txt -out BENCH_pr4.json
-//	benchjson -in bench.txt -out BENCH_pr7.json -compare BENCH_pr6.json -maxdrop 25
+//	benchjson -in bench.txt -out bench.json -compare BENCH_pr13.json -maxdrop 25
 package main
 
 import (
@@ -88,8 +90,7 @@ type Report struct {
 }
 
 var engineNames = map[string]bool{
-	"event": true, "sweep": true,
-	"serial-per-pattern": true, "sweep-1": true, "event-1": true, "collapsed-1": true,
+	"event": true, "serial-per-pattern": true, "event-1": true, "collapsed-1": true,
 }
 
 var modelNames = map[string]bool{
@@ -212,7 +213,7 @@ func finish(entries []Entry) []Entry {
 					e.Inflight = n
 				}
 			case strings.HasPrefix(seg, "sharded-"):
-				e.Engine = "sweep"
+				e.Engine = "event"
 			case seg == "podem-on" || seg == "podem-off":
 				e.Podem = strings.TrimPrefix(seg, "podem-")
 			}
@@ -230,20 +231,20 @@ func elapsedNS(e Entry) float64 {
 // minGateElapsedNS is the measured-time floor below which a throughput
 // comparison is reported but not gated: a benchtime=1x row that ran for
 // well under a second flaps far beyond any sensible threshold (a ~250ms
-// sweep row was observed 34% apart on back-to-back runs of an otherwise
-// idle single-core runner), and gating on it would make the CI job fail
-// on scheduler noise.  The rows this floor keeps gated — the multi-second
-// ISCAS-scale sweeps — repeat within a few percent.
+// row was observed 34% apart on back-to-back runs of an otherwise idle
+// single-core runner), and gating on it would make the CI job fail on
+// scheduler noise.  CI runs the ISCAS-scale rows with a time-based
+// -benchtime so that they clear this floor and are gated.
 const minGateElapsedNS = 1e9
 
 // compareReports diffs the fresh run against a committed baseline on
 // the patterns/sec metric, matching rows by full benchmark name (which
 // already encodes the engine, lane width and circuit dimensions).  It
-// returns human-readable comparison lines for every matched row and a
+// returns human-readable comparison lines for every matched row, a
 // failure line for each row whose throughput dropped more than
-// maxDropPct while both runs measured at least minGateElapsedNS of
-// benchmark time.
-func compareReports(fresh, base Report, maxDropPct float64) (lines, failures []string) {
+// maxDropPct, and the number of gated rows: those both runs measured
+// for at least minGateElapsedNS of benchmark time.
+func compareReports(fresh, base Report, maxDropPct float64) (lines, failures []string, gated int) {
 	byName := make(map[string]Entry, len(base.Results))
 	for _, e := range base.Results {
 		byName[e.Name] = e
@@ -268,13 +269,42 @@ func compareReports(fresh, base Report, maxDropPct float64) (lines, failures []s
 			continue
 		}
 		lines = append(lines, line)
+		gated++
 		if ratio < 1-maxDropPct/100 {
 			failures = append(failures, fmt.Sprintf(
 				"%s: patterns/sec regressed %.1f%% (%.1f -> %.1f), max allowed %.0f%%",
 				e.Name, 100*(1-ratio), prev, cur, maxDropPct))
 		}
 	}
-	return lines, failures
+	return lines, failures, gated
+}
+
+// runCompare diffs rep against the baseline report at basePath, prints
+// the comparison lines to w, and returns an error when no row matched,
+// when no matched row was gated, or when a gated row regressed.
+func runCompare(rep Report, basePath string, maxDropPct float64, w io.Writer) error {
+	raw, err := os.ReadFile(basePath)
+	if err != nil {
+		return err
+	}
+	var base Report
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("%s: %w", basePath, err)
+	}
+	lines, failures, gated := compareReports(rep, base, maxDropPct)
+	for _, l := range lines {
+		fmt.Fprintln(w, l)
+	}
+	switch {
+	case len(lines) == 0:
+		return fmt.Errorf("no comparable patterns/sec rows between this run and %s", basePath)
+	case gated == 0:
+		return fmt.Errorf("gated 0 of %d patterns/sec rows against %s: none measured %.0fs on both sides, so the gate would pass any regression",
+			len(lines), basePath, minGateElapsedNS/1e9)
+	case len(failures) > 0:
+		return fmt.Errorf("REGRESSION:\n%s", strings.Join(failures, "\n"))
+	}
+	return nil
 }
 
 // parse reads a whole `go test -bench` transcript.
@@ -306,7 +336,7 @@ func parse(r io.Reader) (Report, error) {
 func main() {
 	in := flag.String("in", "", "benchmark transcript to read (default: stdin)")
 	out := flag.String("out", "", "JSON file to write (default: stdout)")
-	compare := flag.String("compare", "", "baseline BENCH JSON to diff against; exits 1 on a gated patterns/sec regression")
+	compare := flag.String("compare", "", "baseline BENCH JSON to diff against; exits 1 on a gated patterns/sec regression or when no row is gated")
 	maxDrop := flag.Float64("maxdrop", 25, "with -compare: max tolerated patterns/sec drop in percent")
 	flag.Parse()
 
@@ -341,26 +371,8 @@ func main() {
 	}
 
 	if *compare != "" {
-		raw, err := os.ReadFile(*compare)
-		if err != nil {
+		if err := runCompare(rep, *compare, *maxDrop, os.Stdout); err != nil {
 			fatal(err)
-		}
-		var base Report
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fatal(fmt.Errorf("%s: %w", *compare, err))
-		}
-		lines, failures := compareReports(rep, base, *maxDrop)
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-		if len(lines) == 0 {
-			fatal(fmt.Errorf("no comparable patterns/sec rows between this run and %s", *compare))
-		}
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchjson: REGRESSION:", f)
-		}
-		if len(failures) > 0 {
-			os.Exit(1)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,8 +60,8 @@ func TestParse(t *testing.T) {
 	if s := rep.Results[1]; s.Engine != "serial" {
 		t.Errorf("serial-per-pattern engine %q", s.Engine)
 	}
-	if s := rep.Results[2]; s.Engine != "sweep" {
-		t.Errorf("sharded engine %q, want sweep", s.Engine)
+	if s := rep.Results[2]; s.Engine != "event" {
+		t.Errorf("sharded engine %q, want event", s.Engine)
 	}
 	if s := rep.Results[3]; s.Model != "input-sa" || s.Mode != "all" ||
 		s.Metrics["tests-removed/sec"] != 4032 {
@@ -174,9 +178,9 @@ func TestCompareReportsGatesRegressions(t *testing.T) {
 		entryFor("C/event/lanes-64", 4500, 4e9, 2), // improvement
 		entryFor("D/event/lanes-64", 10, 4e9, 2),   // no baseline row: ignored
 	}}
-	lines, failures := compareReports(fresh, base, 25)
-	if len(lines) != 3 {
-		t.Fatalf("want 3 comparison lines, got %d: %v", len(lines), lines)
+	lines, failures, gated := compareReports(fresh, base, 25)
+	if len(lines) != 3 || gated != 3 {
+		t.Fatalf("want 3 gated comparison lines, got %d lines, %d gated: %v", len(lines), gated, lines)
 	}
 	if len(failures) != 1 || !strings.Contains(failures[0], "B/event/lanes-64") {
 		t.Fatalf("want exactly the B regression, got %v", failures)
@@ -195,9 +199,9 @@ func TestCompareReportsMeasurementFloor(t *testing.T) {
 		entryFor("tiny", 100, 2e6, 1), // -90%, but under the floor
 		entryFor("slow", 100, 1e6, 1), // fresh side under the floor
 	}}
-	lines, failures := compareReports(fresh, base, 25)
-	if len(failures) != 0 {
-		t.Fatalf("under-floor rows must not gate, got %v", failures)
+	lines, failures, gated := compareReports(fresh, base, 25)
+	if len(failures) != 0 || gated != 0 {
+		t.Fatalf("under-floor rows must not gate, got %d gated, failures %v", gated, failures)
 	}
 	for _, l := range lines {
 		if !strings.Contains(l, "not gated") {
@@ -212,7 +216,7 @@ func TestCompareReportsEndToEndFromTranscripts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Self-comparison: every matched row is a 1.00x ratio, no failures.
-	lines, failures := compareReports(rep, rep, 25)
+	lines, failures, _ := compareReports(rep, rep, 25)
 	if len(failures) != 0 {
 		t.Fatalf("self-comparison regressed: %v", failures)
 	}
@@ -223,5 +227,39 @@ func TestCompareReportsEndToEndFromTranscripts(t *testing.T) {
 		if !strings.Contains(l, "1.00x") {
 			t.Fatalf("self-comparison ratio not 1.00x: %q", l)
 		}
+	}
+}
+
+// A comparison in which every matched row is under the measurement
+// floor gates nothing, so -compare must fail rather than pass any
+// regression; one row over the floor on both sides is enough.
+func TestRunCompareFailsWhenNothingGated(t *testing.T) {
+	writeBase := func(r Report) string {
+		t.Helper()
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "base.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := writeBase(Report{Results: []Entry{
+		entryFor("tiny", 1000, 2e6, 1),
+		entryFor("slow", 1000, 4e9, 2),
+	}})
+	var out bytes.Buffer
+	err := runCompare(Report{Results: []Entry{entryFor("tiny", 1000, 2e6, 1)}}, base, 25, &out)
+	if err == nil || !strings.Contains(err.Error(), "gated 0 of 1") {
+		t.Fatalf("all rows under the floor: err = %v, want a gated-0 failure", err)
+	}
+	if err := runCompare(Report{Results: []Entry{entryFor("slow", 1000, 4e9, 2)}}, base, 25, &out); err != nil {
+		t.Fatalf("one gated row within tolerance: %v", err)
+	}
+	err = runCompare(Report{Results: []Entry{entryFor("slow", 100, 4e9, 2)}}, base, 25, &out)
+	if err == nil || !strings.Contains(err.Error(), "REGRESSION") {
+		t.Fatalf("gated regression: err = %v, want a REGRESSION failure", err)
 	}
 }

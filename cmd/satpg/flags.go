@@ -38,16 +38,6 @@ func parseLanes(n int) (int, error) {
 	return 0, fmt.Errorf("unsupported -lanes %d (want 64, 128 or 256)", n)
 }
 
-func parseEngine(s string) (satpg.FaultSimEngine, error) {
-	switch s {
-	case "event":
-		return satpg.EventEngine, nil
-	case "sweep":
-		return satpg.SweepEngine, nil
-	}
-	return 0, fmt.Errorf("unknown -fsim-engine %q (want event or sweep)", s)
-}
-
 func parseCompactMode(s string) (satpg.CompactMode, error) {
 	m, ok := satpg.ParseCompactMode(s)
 	if !ok {

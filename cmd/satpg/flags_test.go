@@ -52,19 +52,6 @@ func TestParseLanes(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	if e, err := parseEngine("event"); err != nil || e != satpg.EventEngine {
-		t.Fatalf("parseEngine(event) = %v, %v", e, err)
-	}
-	if e, err := parseEngine("sweep"); err != nil || e != satpg.SweepEngine {
-		t.Fatalf("parseEngine(sweep) = %v, %v", e, err)
-	}
-	_, err := parseEngine("jacobi")
-	if err == nil || !strings.Contains(err.Error(), "-fsim-engine") || !strings.Contains(err.Error(), "event or sweep") {
-		t.Fatalf("parseEngine(jacobi) error = %v; want -fsim-engine rejection listing choices", err)
-	}
-}
-
 func TestParseCompactMode(t *testing.T) {
 	for _, ok := range []string{"none", "reverse", "dominance", "greedy", "all"} {
 		if _, err := parseCompactMode(ok); err != nil {

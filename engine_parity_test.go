@@ -2,91 +2,27 @@ package satpg
 
 import "testing"
 
+// suiteScalarStride samples the scalar-oracle check on the Table-1
+// suite.  Its circuits are small, so one fault in four is replayed.
+const suiteScalarStride = 4
+
 // TestEventEngineParityOnSuite pins the event-driven cone-limited
-// engine to the full-sweep oracle on the Table-1 benchmarks: for both
-// fault models and every lane width, FaultSimBatch must report
-// identical per-fault verdicts, and the event engine must not do more
-// gate-evaluation work than the sweeps.  One benchmark additionally
-// runs the whole ATPG flow under each engine — the random phase
-// batches its walks through fsim, so the flows must agree fault for
-// fault.
+// engine on the Table-1 benchmarks: for both fault models, FaultSimBatch
+// must report identical per-fault verdicts at every lane width, and a
+// sample of those verdicts must match a full replay on the scalar
+// ternary machine.
 func TestEventEngineParityOnSuite(t *testing.T) {
 	suite := SpeedIndependentSuite()
 	if testing.Short() {
 		suite = suite[:3]
 	}
-	var evEvals, swEvals int64
 	for _, bm := range suite {
 		_, res, err := GenerateForCircuit(bm.Circuit, InputStuckAt, Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
 		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
-			for _, lanes := range []int{64, 128, 256} {
-				ev, err := FaultSimBatch(bm.Circuit, model, res.Tests,
-					Options{FaultSimLanes: lanes, FaultSimEngine: EventEngine})
-				if err != nil {
-					t.Fatalf("%s: %v", bm.Name, err)
-				}
-				sw, err := FaultSimBatch(bm.Circuit, model, res.Tests,
-					Options{FaultSimLanes: lanes, FaultSimEngine: SweepEngine})
-				if err != nil {
-					t.Fatalf("%s: %v", bm.Name, err)
-				}
-				for fi := range ev.PerFault {
-					e, s := ev.PerFault[fi], sw.PerFault[fi]
-					if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
-						t.Errorf("%s %v lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
-							bm.Name, model, lanes, e.Fault.Describe(bm.Circuit),
-							e.Detected, e.TestIndex, e.Cycle, s.Detected, s.TestIndex, s.Cycle)
-					}
-				}
-				evEvals += ev.Stats.GateEvals
-				swEvals += sw.Stats.GateEvals
-			}
-		}
-	}
-	if evEvals >= swEvals {
-		t.Errorf("event engine did not reduce suite-wide gate evaluations: %d vs %d", evEvals, swEvals)
-	}
-	t.Logf("suite gate evals: event %d, sweep %d (%.1f%%)", evEvals, swEvals,
-		100*float64(evEvals)/float64(swEvals))
-
-	// Full ATPG parity: same circuit, same seed, both engines.
-	c := suite[0].Circuit
-	g, err := Abstract(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := Generate(g, InputStuckAt, Options{Seed: 1, FaultSimEngine: EventEngine})
-	sw := Generate(g, InputStuckAt, Options{Seed: 1, FaultSimEngine: SweepEngine})
-	if ev.Covered != sw.Covered || ev.Untestable != sw.Untestable ||
-		ev.Aborted != sw.Aborted || len(ev.Tests) != len(sw.Tests) {
-		t.Fatalf("ATPG diverged across engines: event cov=%d unt=%d ab=%d tests=%d, sweep cov=%d unt=%d ab=%d tests=%d",
-			ev.Covered, ev.Untestable, ev.Aborted, len(ev.Tests),
-			sw.Covered, sw.Untestable, sw.Aborted, len(sw.Tests))
-	}
-	for p, n := range ev.ByPhase {
-		if sw.ByPhase[p] != n {
-			t.Errorf("phase %v count differs: event %d, sweep %d", p, n, sw.ByPhase[p])
-		}
-	}
-	for i := range ev.PerFault {
-		e, s := ev.PerFault[i], sw.PerFault[i]
-		if e.Detected != s.Detected || e.Phase != s.Phase || e.TestIndex != s.TestIndex {
-			t.Errorf("fault %s: event {det=%v phase=%v test=%d}, sweep {det=%v phase=%v test=%d}",
-				e.Fault.Describe(c), e.Detected, e.Phase, e.TestIndex, s.Detected, s.Phase, s.TestIndex)
-		}
-	}
-	for i := range ev.Tests {
-		if len(ev.Tests[i].Patterns) != len(sw.Tests[i].Patterns) {
-			t.Fatalf("test %d length differs across engines", i)
-		}
-		for j := range ev.Tests[i].Patterns {
-			if ev.Tests[i].Patterns[j] != sw.Tests[i].Patterns[j] ||
-				ev.Tests[i].Expected[j] != sw.Tests[i].Expected[j] {
-				t.Fatalf("test %d cycle %d differs across engines", i, j)
-			}
+			crossWidthCompare(t, bm.Circuit, model, res.Tests, Options{}, []int{64, 128, 256}, suiteScalarStride)
 		}
 	}
 }

@@ -104,12 +104,8 @@ type Options struct {
 	// simulation: 64 (default), 128 or 256 random walks ride one batch.
 	// Unsupported values fall back to the default width.  The generated
 	// tests and per-fault verdicts are identical across widths; wider
-	// lanes amortise each sweep over more walks.
+	// lanes amortise each gate evaluation over more walks.
 	FaultSimLanes int
-	// FaultSimEngine selects the settling strategy of the bit-parallel
-	// fault simulation: event-driven cone-limited (default) or full
-	// Jacobi sweeps.  The results are identical either way.
-	FaultSimEngine fsim.EngineKind
 	// SkipPodem disables the deterministic PODEM phase that runs
 	// between the random walks and the exhaustive fallback.
 	SkipPodem bool
@@ -298,7 +294,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		}
 		fs, err := fsim.New(g.C, universe, fsim.Options{
 			Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-			Engine: opts.FaultSimEngine, NoDrop: true,
+			NoDrop: true,
 		})
 		if err != nil {
 			// Unreachable: faults.Universe never emits the Transition

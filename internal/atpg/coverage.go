@@ -32,10 +32,9 @@ type CoverageReport struct {
 	Detected int
 	PerFault []FaultCoverage
 	Workers  int
-	Lanes    int             // lane width the measurement ran at
-	Classes  int             // simulated equivalence classes (≤ Total)
-	Engine   fsim.EngineKind // settling strategy the measurement ran with
-	Stats    fsim.Stats      // applied patterns and gate evaluations
+	Lanes    int        // lane width the measurement ran at
+	Classes  int        // simulated equivalence classes (≤ Total)
+	Stats    fsim.Stats // applied patterns and gate evaluations
 	Elapsed  time.Duration
 
 	// Shard/Shards identify a 1-of-N partial measurement (Shards ≤ 1:
@@ -59,9 +58,9 @@ func (r *CoverageReport) Coverage() float64 {
 
 // Summary renders a one-line report.
 func (r *CoverageReport) Summary() string {
-	return fmt.Sprintf("fsim cov=%d/%d (%.2f%%) classes=%d lanes=%d workers=%d engine=%s gate-evals/pattern=%.1f elapsed=%v",
+	return fmt.Sprintf("fsim cov=%d/%d (%.2f%%) classes=%d lanes=%d workers=%d gate-evals/pattern=%.1f elapsed=%v",
 		r.Detected, r.Total, 100*r.Coverage(), r.Classes, r.Lanes, r.Workers,
-		r.Engine, r.Stats.EvalsPerPattern(), r.Elapsed.Round(time.Microsecond))
+		r.Stats.EvalsPerPattern(), r.Elapsed.Round(time.Microsecond))
 }
 
 // CoverageOf measures the guaranteed fault coverage of a test set with
@@ -74,16 +73,15 @@ func (r *CoverageReport) Summary() string {
 // opposite the expected response (or the reset response) under every
 // delay assignment.  Tests must carry their Expected outputs (every
 // Test built by this package does).
-func CoverageOf(c *netlist.Circuit, universe []faults.Fault, tests []Test, workers, lanes int, engine fsim.EngineKind) (*CoverageReport, error) {
-	return CoverageOfOpts(c, universe, tests, CoverageOptions{Workers: workers, Lanes: lanes, Engine: engine})
+func CoverageOf(c *netlist.Circuit, universe []faults.Fault, tests []Test, workers, lanes int) (*CoverageReport, error) {
+	return CoverageOfOpts(c, universe, tests, CoverageOptions{Workers: workers, Lanes: lanes})
 }
 
 // CoverageOptions tunes CoverageOfOpts beyond the positional knobs of
 // CoverageOf.
 type CoverageOptions struct {
-	Workers int             // fault-class shard goroutines (0: GOMAXPROCS)
-	Lanes   int             // tests per batch: 64 (default), 128 or 256
-	Engine  fsim.EngineKind // event (default) or sweep
+	Workers int // fault-class shard goroutines (0: GOMAXPROCS)
+	Lanes   int // tests per batch: 64 (default), 128 or 256
 	// Shard/Shards select a 1-of-N partition of the representative
 	// fault classes (fsim.Options.ShardIndex/ShardCount): the report
 	// covers only the owned slice, for merging with the other shards'
@@ -120,7 +118,7 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 		return nil, fmt.Errorf("atpg: shard index %d out of range for %d shards", opts.Shard, opts.Shards)
 	}
 	s, err := fsim.New(c, universe, fsim.Options{
-		Workers: opts.Workers, Lanes: opts.Lanes, Engine: opts.Engine,
+		Workers: opts.Workers, Lanes: opts.Lanes,
 		CheckReset: true,
 		ShardIndex: opts.Shard, ShardCount: opts.Shards,
 		Pipeline: opts.Pipeline,
@@ -134,7 +132,6 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 		Workers:  opts.Workers,
 		Lanes:    s.Lanes(),
 		Classes:  s.NumClasses(),
-		Engine:   s.Engine(),
 	}
 	if rep.Workers <= 0 {
 		rep.Workers = runtime.GOMAXPROCS(0)
@@ -209,7 +206,6 @@ func MergeShardReports(reports []*CoverageReport) (*CoverageReport, error) {
 		Total:    first.Total,
 		PerFault: make([]FaultCoverage, first.Total),
 		Lanes:    first.Lanes,
-		Engine:   first.Engine,
 	}
 	covered := make([]bool, first.Total)
 	for _, r := range reports {

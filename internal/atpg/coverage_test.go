@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/fsim"
 )
 
 // The coverage of the full ATPG result, re-measured with the batched
@@ -17,7 +16,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 	res := Run(g, faults.InputSA, Options{Seed: 1})
 	universe := faults.Universe(g.C, faults.InputSA)
 
-	rep, err := CoverageOf(g.C, universe, res.Tests, 2, 128, fsim.EngineEvent)
+	rep, err := CoverageOf(g.C, universe, res.Tests, 2, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 func TestCoverageOfEmptyTestSet(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	universe := faults.Universe(g.C, faults.OutputSA)
-	rep, err := CoverageOf(g.C, universe, nil, 1, 0, fsim.EngineEvent)
+	rep, err := CoverageOf(g.C, universe, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestCoverageOfEmptyTestSet(t *testing.T) {
 func TestCoverageOfAcceptsTransitionFaults(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	universe := faults.Universe(g.C, faults.Transition)
-	rep, err := CoverageOf(g.C, universe, nil, 1, 0, fsim.EngineEvent)
+	rep, err := CoverageOf(g.C, universe, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, un
 
 	fs, err := fsim.New(c, universe, fsim.Options{
 		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-		Engine: opts.FaultSimEngine, NoDrop: true,
+		NoDrop: true,
 	})
 	if err != nil {
 		return nil, err

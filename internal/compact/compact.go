@@ -35,7 +35,7 @@
 // passes only ever drop a test when each of its matrix detections is
 // carried by another kept test.  The property, differential and fuzz
 // suites assert exactly that against tester.MeasureCoverage at every
-// lane width and with both fsim engines.
+// lane width.
 package compact
 
 import (
@@ -98,12 +98,10 @@ func ParseMode(s string) (Mode, bool) {
 }
 
 // Options tunes the matrix-building fault simulation; zero values
-// select the fsim defaults (GOMAXPROCS workers, 64 lanes, the
-// event-driven engine).
+// select the fsim defaults (GOMAXPROCS workers, 64 lanes).
 type Options struct {
 	Workers int
 	Lanes   int
-	Engine  fsim.EngineKind
 }
 
 // Result is the outcome of one compaction.

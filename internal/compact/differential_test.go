@@ -3,8 +3,7 @@ package compact
 // Differential property: the detection matrix from the batched fsim
 // pass must be bit-identical to per-test × per-fault verdicts of the
 // scalar ternary machine (sim.Machine) — reset comparison included —
-// on seeded random cyclic circuits, at every lane width and with both
-// engines.  This is the matrix analogue of internal/fsim's
+// on seeded random cyclic circuits, at every lane width.  This is the matrix analogue of internal/fsim's
 // differential suites, pushed up to the program/compaction layer.
 
 import (
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/randckt"
@@ -53,19 +51,12 @@ func scalarMatrix(c *netlist.Circuit, universe []faults.Fault, progs []tester.Pr
 }
 
 func TestMatrixDifferentialAgainstScalar(t *testing.T) {
-	type cfg struct {
-		lanes  int
-		engine fsim.EngineKind
-	}
-	cfgs := []cfg{
-		{64, fsim.EngineEvent}, {128, fsim.EngineEvent}, {256, fsim.EngineEvent},
-		{64, fsim.EngineSweep}, {128, fsim.EngineSweep}, {256, fsim.EngineSweep},
-	}
+	laneWidths := []int{64, 128, 256}
 	seeds := 20
 	nProgs := 80 // spans two 64-lane batches, exercises the base-shifted fold
 	if testing.Short() {
 		seeds = 5
-		cfgs = cfgs[:2]
+		laneWidths = laneWidths[:2]
 	}
 	tried := 0
 	for seed := int64(1); tried < seeds && seed < int64(20*seeds); seed++ {
@@ -79,8 +70,8 @@ func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 			faults.TransitionUniverse(c)...)
 		progs := randPrograms(rng, c, nProgs, 5)
 		ref := scalarMatrix(c, universe, progs)
-		for _, cf := range cfgs {
-			mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2, Lanes: cf.lanes, Engine: cf.engine})
+		for _, lanes := range laneWidths {
+			mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2, Lanes: lanes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,8 +81,8 @@ func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 			for fi := range universe {
 				for ti := range progs {
 					if mx.Covers(fi, ti) != ref[fi][ti] {
-						t.Fatalf("seed %d lanes=%d engine=%s: fault %s × test %d: matrix %v, scalar %v",
-							seed, cf.lanes, cf.engine, universe[fi].Describe(c), ti,
+						t.Fatalf("seed %d lanes=%d: fault %s × test %d: matrix %v, scalar %v",
+							seed, lanes, universe[fi].Describe(c), ti,
 							mx.Covers(fi, ti), ref[fi][ti])
 					}
 				}

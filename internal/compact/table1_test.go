@@ -4,8 +4,7 @@ package compact
 // every compaction mode × benchmark circuit × fault selection
 // (-faults sa|transition|both), the compacted program's measured
 // coverage must equal the original's EXACTLY — per-fault verdict
-// equality, not just the ratio — at every lane width and with both
-// fsim engines.  The aggregate ModeAll reduction is additionally
+// equality, not just the ratio — at every lane width.  The aggregate ModeAll reduction is additionally
 // pinned to the ≥25% acceptance bar on both fault models.
 
 import (
@@ -15,7 +14,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/fsim"
 	"repro/internal/tester"
 )
 
@@ -23,17 +21,11 @@ func TestCompactionPreservesCoverageTable1(t *testing.T) {
 	suite := circuits.SpeedIndependent()
 	sels := []faults.Selection{faults.SelStuckAt, faults.SelTransition, faults.SelBoth}
 	laneWidths := []int{64, 128, 256}
-	engines := []fsim.EngineKind{fsim.EngineEvent, fsim.EngineSweep}
 	modes := []Mode{ModeReverse, ModeDominance, ModeGreedy, ModeAll}
 	if testing.Short() {
 		suite = suite[:3]
 		sels = sels[:1]
 		laneWidths = laneWidths[:1]
-		engines = engines[:1]
-	}
-	type measureKey struct {
-		lanes  int
-		engine fsim.EngineKind
 	}
 	totalBefore := map[faults.Selection]int{}
 	totalAfter := map[faults.Selection]int{}
@@ -53,15 +45,13 @@ func TestCompactionPreservesCoverageTable1(t *testing.T) {
 					ResetExpected: g.OutputsOf(g.Init),
 				}
 			}
-			orig := map[measureKey]tester.CoverageSummary{}
+			orig := map[int]tester.CoverageSummary{}
 			for _, lanes := range laneWidths {
-				for _, eng := range engines {
-					sum, err := tester.MeasureCoverage(c, progs, universe, 0, lanes, eng)
-					if err != nil {
-						t.Fatalf("%s sel=%v: %v", bm.Name, sel, err)
-					}
-					orig[measureKey{lanes, eng}] = sum
+				sum, err := tester.MeasureCoverage(c, progs, universe, 0, lanes)
+				if err != nil {
+					t.Fatalf("%s sel=%v: %v", bm.Name, sel, err)
 				}
+				orig[lanes] = sum
 			}
 			for _, mode := range modes {
 				cr, err := Compact(c, progs, universe, mode, Options{})
@@ -73,24 +63,22 @@ func TestCompactionPreservesCoverageTable1(t *testing.T) {
 						bm.Name, sel, mode, cr.Before, cr.After)
 				}
 				for _, lanes := range laneWidths {
-					for _, eng := range engines {
-						sum, err := tester.MeasureCoverage(c, cr.Programs, universe, 0, lanes, eng)
-						if err != nil {
-							t.Fatalf("%s sel=%v mode=%s: %v", bm.Name, sel, mode, err)
-						}
-						ref := orig[measureKey{lanes, eng}]
-						if !sum.VerdictsEqual(ref) {
-							for fi := range ref.PerFault {
-								if sum.PerFault[fi] != ref.PerFault[fi] {
-									t.Errorf("%s sel=%v mode=%s lanes=%d engine=%s: fault %s verdict flipped %v -> %v",
-										bm.Name, sel, mode, lanes, eng,
-										universe[fi].Describe(c), ref.PerFault[fi], sum.PerFault[fi])
-								}
+					sum, err := tester.MeasureCoverage(c, cr.Programs, universe, 0, lanes)
+					if err != nil {
+						t.Fatalf("%s sel=%v mode=%s: %v", bm.Name, sel, mode, err)
+					}
+					ref := orig[lanes]
+					if !sum.VerdictsEqual(ref) {
+						for fi := range ref.PerFault {
+							if sum.PerFault[fi] != ref.PerFault[fi] {
+								t.Errorf("%s sel=%v mode=%s lanes=%d: fault %s verdict flipped %v -> %v",
+									bm.Name, sel, mode, lanes,
+									universe[fi].Describe(c), ref.PerFault[fi], sum.PerFault[fi])
 							}
-							t.Fatalf("%s sel=%v mode=%s lanes=%d engine=%s: coverage not preserved (%d/%d vs %d/%d)",
-								bm.Name, sel, mode, lanes, eng,
-								sum.Detected, sum.Total, ref.Detected, ref.Total)
 						}
+						t.Fatalf("%s sel=%v mode=%s lanes=%d: coverage not preserved (%d/%d vs %d/%d)",
+							bm.Name, sel, mode, lanes,
+							sum.Detected, sum.Total, ref.Detected, ref.Total)
 					}
 				}
 				if mode == ModeAll {

@@ -205,21 +205,19 @@ func (pk *packedBatch[V]) traceFromResetExpected(c *netlist.Circuit, b *Batch, a
 	}
 }
 
-// goodTrace is the good machine's definite response trace over one
-// batch's rails: the cacheable part of a packedBatch.  good1/good0 stay
-// nil until some batch actually needs per-cycle good responses (a batch
-// that declares Expected only ever needs the reset pair).
+// goodTrace is the good machine's trace over one batch's rails: the
+// cacheable part of a packedBatch.  reset1/reset0 and good1/good0 are
+// its definite output responses.
 //
-// The event-driven engine additionally needs the good machine's FULL
-// state — every signal, not just the outputs — at both settling
-// fixpoints of every cycle: a faulty machine only re-simulates the
-// fanout cone of its fault, and the signals outside the cone are
-// served from these vectors.  Phase A of a cone settle must see the
-// out-of-cone signals at the good machine's raised (algorithm-A)
-// fixpoint and phase B at the settled (algorithm-B) fixpoint, or the
-// cone's own fixpoints would not match the full simulation's.  The
-// state trace is filled only when an event engine asks (runEvents);
-// stateB doubles as the source of good1/good0.
+// The fault machines additionally need the good machine's FULL state —
+// every signal, not just the outputs — at both settling fixpoints of
+// every cycle: a faulty machine only re-simulates the fanout cone of
+// its fault, and the signals outside the cone are served from these
+// vectors.  Phase A of a cone settle must see the out-of-cone signals
+// at the good machine's raised (algorithm-A) fixpoint and phase B at
+// the settled (algorithm-B) fixpoint, or the cone's own fixpoints
+// would not match the full simulation's.  stateB doubles as the source
+// of good1/good0.
 //
 // All per-cycle matrices are carved out of single flat backing arrays:
 // a trace costs a handful of allocations however many cycles it spans,
@@ -248,9 +246,6 @@ func (tr *goodTrace[V]) diffs(c *netlist.Circuit) *traceDiffs {
 	return tr.df
 }
 
-// hasStates reports whether the full-state trace has been recorded.
-func (tr *goodTrace[V]) hasStates() bool { return tr.resetA1 != nil }
-
 // defOutputsInto extracts the definite output vectors from a full state.
 func defOutputsInto[V lanevec.Vec[V]](c *netlist.Circuit, p1, p0, d1, d0 []V) {
 	for j, sig := range c.Outputs {
@@ -271,41 +266,10 @@ func arena2[V lanevec.Vec[V]](cycles, n int) (r1, r0 [][]V) {
 	return r1, r0
 }
 
-// run simulates the good machine over the rails, filling the reset pair
-// and, when cycles is true, the per-cycle definite output vectors.
-func (tr *goodTrace[V]) run(m *machine[V], pk *packedBatch[V], cycles bool) {
-	c := m.eng.Circuit()
-	no := len(c.Outputs)
-	def := func(d1, d0 []V) {
-		for j, sig := range c.Outputs {
-			d1[j], d0[j] = m.eng.Definite(sig)
-		}
-	}
-	m.setAll(pk.all)
-	tr.all = pk.all
-	m.inject(nil)
-	m.reset()
-	rflat := make([]V, 2*no)
-	tr.reset1, tr.reset0 = rflat[:no:no], rflat[no:]
-	tr.allocs++
-	def(tr.reset1, tr.reset0)
-	if !cycles {
-		return
-	}
-	tr.good1, tr.good0 = arena2[V](pk.cycles, no)
-	tr.allocs += 3
-	for t := 0; t < pk.cycles; t++ {
-		m.apply(pk.rails[t])
-		def(tr.good1[t], tr.good0[t])
-	}
-}
-
-// runEvents simulates the good machine event-driven, recording the
-// full state at every phase fixpoint (reset and per cycle) alongside
-// the output trace.  The event settle is bit-identical to the sweeps
-// (both phases are confluent chaotic iterations), so a trace recorded
-// here serves sweep-engine batches too.
-func (tr *goodTrace[V]) runEvents(m *machine[V], pk *packedBatch[V], topo *netlist.Topology) {
+// run simulates the good machine over the rails, recording the full
+// state at every phase fixpoint (reset and per cycle) alongside the
+// output trace.
+func (tr *goodTrace[V]) run(m *machine[V], pk *packedBatch[V], topo *netlist.Topology) {
 	e := m.eng
 	c := e.Circuit()
 	n := c.NumSignals()

@@ -171,37 +171,30 @@ func lookupTrace(key traceKey, seqs [][]uint64) any {
 }
 
 // traceFlight is one in-flight trace computation.  Concurrent
-// requesters of the same (key, seqs) whose requirements the flight
-// covers wait on done instead of settling the good circuit again —
-// the singleflight that lets N identical concurrent coverage queries
-// pay for one good run.  A flight that computes less than a requester
-// needs (cycles or full states) is not joined; the requester starts
-// its own flight and the eventual storeTrace replace keeps the richer
-// trace.
+// requesters of the same (key, seqs) wait on done instead of settling
+// the good circuit again — the singleflight that lets N identical
+// concurrent coverage queries pay for one good run.
 type traceFlight struct {
-	key                    traceKey
-	seqs                   [][]uint64
-	needCycles, needStates bool
-	done                   chan struct{}
-	tr                     any // set before done closes; nil if the leader failed
+	key  traceKey
+	seqs [][]uint64
+	done chan struct{}
+	tr   any // set before done closes; nil if the leader failed
 }
 
-// BeginTraceFlight registers intent to compute the trace for
-// (key, seqs) at the given requirement level.  leader=true means the
-// caller must compute, then call finishTraceFlight; leader=false means
-// an in-flight computation covers the requirements — wait on fl.done
-// and read fl.tr.
-func beginTraceFlight(key traceKey, seqs [][]uint64, needCycles, needStates bool) (fl *traceFlight, leader bool) {
+// beginTraceFlight registers intent to compute the trace for
+// (key, seqs).  leader=true means the caller must compute, then call
+// finishTraceFlight; leader=false means a computation is in flight —
+// wait on fl.done and read fl.tr.
+func beginTraceFlight(key traceKey, seqs [][]uint64) (fl *traceFlight, leader bool) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	for _, f := range traceFlights {
-		if f.key == key && seqsEqual(f.seqs, seqs) &&
-			(f.needCycles || !needCycles) && (f.needStates || !needStates) {
+		if f.key == key && seqsEqual(f.seqs, seqs) {
 			traceWaits++
 			return f, false
 		}
 	}
-	fl = &traceFlight{key: key, seqs: seqs, needCycles: needCycles, needStates: needStates, done: make(chan struct{})}
+	fl = &traceFlight{key: key, seqs: seqs, done: make(chan struct{})}
 	traceFlights = append(traceFlights, fl)
 	return fl, true
 }
@@ -230,7 +223,9 @@ func storeTrace(key traceKey, seqs [][]uint64, tr any) {
 	defer traceMu.Unlock()
 	for i, e := range traceEntries {
 		if e.key == key && seqsEqual(e.seqs, seqs) {
-			e.tr = tr // replace: a later batch extended the trace
+			// Replace: a requester that missed just before a flight
+			// finished computed the same trace again.
+			e.tr = tr
 			touch(i)
 			return
 		}

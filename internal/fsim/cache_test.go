@@ -143,7 +143,7 @@ func TestTraceFlightSingleLeader(t *testing.T) {
 	k, _ := fakeKey(seqs)
 
 	before := TraceCacheStats().Waits
-	fl, leader := beginTraceFlight(k, seqs, true, true)
+	fl, leader := beginTraceFlight(k, seqs)
 	if !leader {
 		t.Fatal("first requester must lead")
 	}
@@ -154,7 +154,7 @@ func TestTraceFlightSingleLeader(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f, lead := beginTraceFlight(k, seqs, true, true)
+			f, lead := beginTraceFlight(k, seqs)
 			if lead {
 				t.Error("follower promoted to leader while flight in progress")
 				finishTraceFlight(f, nil)
@@ -178,44 +178,11 @@ func TestTraceFlightSingleLeader(t *testing.T) {
 			t.Fatalf("waiter %d read %v, want the leader's trace", i, tr)
 		}
 	}
-	again, lead := beginTraceFlight(k, seqs, true, true)
+	again, lead := beginTraceFlight(k, seqs)
 	if !lead {
 		t.Fatal("registry not drained: new requester joined a finished flight")
 	}
 	finishTraceFlight(again, nil)
-}
-
-// TestTraceFlightRequirementCovering: a flight is joined only when it
-// computes at least what the requester needs — a reset-only flight
-// must not absorb a requester needing per-cycle outputs, but a
-// full-state flight covers everyone.
-func TestTraceFlightRequirementCovering(t *testing.T) {
-	resetCacheForTest(t)
-	seqs := [][]uint64{{11}}
-	k, _ := fakeKey(seqs)
-
-	shallow, leader := beginTraceFlight(k, seqs, false, false)
-	if !leader {
-		t.Fatal("first flight must lead")
-	}
-	deep, lead := beginTraceFlight(k, seqs, true, false)
-	if !lead {
-		t.Fatal("cycle-needing requester joined a reset-only flight")
-	}
-	finishTraceFlight(shallow, nil)
-	finishTraceFlight(deep, nil)
-
-	rich, leader := beginTraceFlight(k, seqs, true, true)
-	if !leader {
-		t.Fatal("flight must lead after drain")
-	}
-	if f, lead := beginTraceFlight(k, seqs, false, false); lead {
-		finishTraceFlight(f, nil)
-		t.Fatal("reset-only requester refused a full-state flight that covers it")
-	} else if f != rich {
-		t.Fatal("joined a different flight")
-	}
-	finishTraceFlight(rich, nil)
 }
 
 // TestConcurrentSimulatorsShareOneTrace runs many Simulators over the
@@ -245,7 +212,7 @@ func TestConcurrentSimulatorsShareOneTrace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := New(c, universe, Options{Lanes: 64, Engine: EngineEvent})
+			s, err := New(c, universe, Options{Lanes: 64})
 			if err != nil {
 				errs[i] = err
 				return
@@ -301,7 +268,7 @@ func TestSimulatorCacheCounters(t *testing.T) {
 	seqs := randSeqs(rng, c.NumInputs(), 16, 6)
 
 	run := func() Stats {
-		s, err := New(c, universe, Options{Lanes: 64, Engine: EngineEvent})
+		s, err := New(c, universe, Options{Lanes: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

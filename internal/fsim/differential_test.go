@@ -4,7 +4,7 @@ package fsim
 // circuits, the bit-parallel engine must agree with the scalar ternary
 // simulator in internal/sim pattern-for-pattern — the full per-lane
 // ternary state for the good machine and for every injected stuck-at
-// fault, and the resulting detected-fault sets.  The wide-lane sweeps
+// fault, and the resulting detected-fault sets.  The wide-lane tests
 // additionally pin the 128/256-lane instantiations to the stacked
 // 64-lane runs, and the collapse tests pin representative simulation to
 // the full universe.
@@ -65,17 +65,16 @@ func TestDifferentialAgainstScalarTernary(t *testing.T) {
 		// Good machine, bit-parallel: states must agree lane-for-lane.
 		bm := newMachine[lanevec.V1](c)
 		bm.setAll(all)
-		bm.inject(nil)
-		bm.reset()
-		if ref := goodMachine.InitState(); !bm.laneState(0).Equal(ref) {
-			t.Fatalf("seed %d: good reset state differs:\n fsim %s\n  sim %s", seed, bm.laneState(0), ref)
+		bm.eng.Reset()
+		if ref := goodMachine.InitState(); !bm.eng.LaneState(0).Equal(ref) {
+			t.Fatalf("seed %d: good reset state differs:\n fsim %s\n  sim %s", seed, bm.eng.LaneState(0), ref)
 		}
 		for tc := 0; tc < cycles; tc++ {
-			bm.apply(railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
+			applyRails(bm, railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
 			for l := 0; l < lanes; l++ {
-				if !bm.laneState(l).Equal(goodStates[l][tc]) {
+				if !bm.eng.LaneState(l).Equal(goodStates[l][tc]) {
 					t.Fatalf("seed %d: good lane %d cycle %d differs:\n fsim %s\n  sim %s",
-						seed, l, tc, bm.laneState(l), goodStates[l][tc])
+						seed, l, tc, bm.eng.LaneState(l), goodStates[l][tc])
 				}
 			}
 		}
@@ -88,22 +87,22 @@ func TestDifferentialAgainstScalarTernary(t *testing.T) {
 			pm := newMachine[lanevec.V1](c)
 			pm.setAll(all)
 			pm.inject(&universe[fi])
-			pm.reset()
+			pm.eng.Reset()
 			states := make([]logic.Vec, lanes)
 			for l := range states {
 				states[l] = fm.InitState()
-				if !pm.laneState(l).Equal(states[l]) {
+				if !pm.eng.LaneState(l).Equal(states[l]) {
 					t.Fatalf("seed %d fault %s: reset state lane %d differs:\n fsim %s\n  sim %s",
-						seed, f.Describe(c), l, pm.laneState(l), states[l])
+						seed, f.Describe(c), l, pm.eng.LaneState(l), states[l])
 				}
 			}
 			for tc := 0; tc < cycles; tc++ {
-				pm.apply(railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
+				applyRails(pm, railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
 				for l := 0; l < lanes; l++ {
 					states[l] = fm.Step(states[l], seqs[l][tc])
-					if !pm.laneState(l).Equal(states[l]) {
+					if !pm.eng.LaneState(l).Equal(states[l]) {
 						t.Fatalf("seed %d fault %s: lane %d cycle %d differs:\n fsim %s\n  sim %s",
-							seed, f.Describe(c), l, tc, pm.laneState(l), states[l])
+							seed, f.Describe(c), l, tc, pm.eng.LaneState(l), states[l])
 					}
 					if scalarDetects(c, goodStates[l][tc], states[l]) {
 						refMatrix[fi] |= 1 << uint(l)
@@ -419,6 +418,18 @@ func railVecs[V lanevec.Vec[V]](m int, seqs [][]uint64, tc, lanes int) []V {
 		}
 	}
 	return words
+}
+
+// applyRails drives the primary-input rails of m with per-lane values
+// and settles the whole circuit: one synchronous cycle for all lanes,
+// with no cone limiting, for comparison against the scalar machine.
+func applyRails[V lanevec.Vec[V]](m *machine[V], rails []V) {
+	all := m.eng.All()
+	for i, w := range rails {
+		w = w.And(all)
+		m.eng.SetSignal(netlist.SigID(i), w, all.AndNot(w))
+	}
+	m.eng.Settle()
 }
 
 // scalarDetects mirrors the engine's detection rule on scalar states:

@@ -1,5 +1,6 @@
 // Package fsim is the bit-parallel concurrent fault-simulation engine:
-// the pattern-parallel instantiation of the shared lanevec sweep core.
+// the pattern-parallel instantiation of the shared lanevec settling
+// core.
 //
 // sim.Parallel instantiates the core fault-per-lane (many faulty
 // machines, one pattern per step, the Seshu tradition); fsim
@@ -10,7 +11,8 @@
 // composes with the standard ATPG scaling moves:
 //
 //   - wide lanes: Options.Lanes selects 64, 128 or 256 test sequences
-//     per sweep (one, two or four machine words per signal vector);
+//     per gate evaluation (one, two or four machine words per signal
+//     vector);
 //   - fault collapsing: structurally equivalent faults (faults.Collapse)
 //     are simulated once per class and the verdict is fanned back out to
 //     every member, so the simulated universe is smaller than the
@@ -47,46 +49,15 @@ import (
 	"repro/internal/sched"
 )
 
-// EngineKind selects the settling strategy of the fault machines.
-type EngineKind uint8
-
-// Engine kinds.  Both produce bit-identical detected sets (the
-// differential tests assert it); they differ only in how much work a
-// fault costs.
-const (
-	// EngineEvent (the default) is the event-driven cone-limited
-	// engine: each fault re-simulates only the gates in its fanout
-	// cone whose inputs actually changed relative to the cached good
-	// trace, with per-lane activity masks deciding what "changed"
-	// means.  Signals outside the cone provably track the good machine
-	// and are served from the trace.
-	EngineEvent EngineKind = iota
-	// EngineSweep is the full-Jacobi-sweep engine: every fault settles
-	// the whole circuit every cycle.  It is kept as the differential
-	// oracle for the event engine and for measuring the win.
-	EngineSweep
-)
-
-// String names the engine kind as the CLI spells it.
-func (k EngineKind) String() string {
-	if k == EngineSweep {
-		return "sweep"
-	}
-	return "event"
-}
-
 // Options tunes the engine.
 type Options struct {
 	// Workers is the number of goroutines the fault list is sharded
 	// across (0: GOMAXPROCS).  The shard assignment is fixed at New and
 	// each worker keeps its lane machine across batches.
 	Workers int
-	// Engine selects event-driven cone-limited settling (default) or
-	// the full-sweep oracle.  Detected sets are identical either way.
-	Engine EngineKind
-	// Lanes is the number of test sequences simulated per sweep: 64
-	// (default), 128 or 256.  Wider lanes trade more work per gate
-	// evaluation for fewer sweeps per batch; the detected sets are
+	// Lanes is the number of test sequences simulated per gate
+	// evaluation: 64 (default), 128 or 256.  Wider lanes trade more
+	// work per gate evaluation for fewer batches; the detected sets are
 	// identical across widths.
 	Lanes int
 	// NoDrop keeps simulating a fault against the full batch after its
@@ -126,7 +97,7 @@ type Options struct {
 	// takes the miss, the batch takes a hit).
 	Pipeline bool
 
-	// eagerSeed forces the event engine's pre-overhaul eager cone
+	// eagerSeed forces the pre-overhaul eager cone
 	// seeding: full state load per fault, every cone gate enqueued per
 	// phase, every out-of-cone diff swapped, all outputs compared.
 	// Unexported — it exists so the lazy/eager differential suite can
@@ -273,9 +244,8 @@ type Stats struct {
 	// the regression canary for the hot path's allocation discipline.
 	Allocs int64
 	// CacheHits and CacheMisses count this Simulator's good-trace
-	// cache lookups (a cached trace missing the full-state fixpoints
-	// an event engine needs counts as a miss).  The cache-wide
-	// counters, eviction count included, live in TraceCacheStats.
+	// cache lookups.  The cache-wide counters, eviction count
+	// included, live in TraceCacheStats.
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -421,27 +391,20 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 	s.nworkers = nw
 
 	// Cut the representative classes into work units sized by a cost
-	// estimate.  For the event engine a class's settling cost scales
-	// with its fanout cone (the only gates it re-evaluates), so the
-	// cone population is the weight; the sweep engine settles the whole
-	// circuit per class, so every class weighs the same.  The units are
-	// re-balanced at run time by the work-stealing pool, so the
-	// estimate only needs to be proportional, not exact.
+	// estimate.  A class's settling cost scales with its fanout cone
+	// (the only gates it re-evaluates), so the cone population is the
+	// weight.  The units are re-balanced at run time by the
+	// work-stealing pool, so the estimate only needs to be
+	// proportional, not exact.
 	s.weights = make([]int64, len(universe))
-	if opts.Engine == EngineEvent {
-		topo := c.Topology()
-		for _, fi := range reps {
-			cone := topo.ConeOf(c.Gates[universe[fi].Gate].Out)
-			w := int64(0)
-			for _, cw := range cone {
-				w += int64(bits.OnesCount64(cw))
-			}
-			s.weights[fi] = w
+	topo := c.Topology()
+	for _, fi := range reps {
+		cone := topo.ConeOf(c.Gates[universe[fi].Gate].Out)
+		w := int64(0)
+		for _, cw := range cone {
+			w += int64(bits.OnesCount64(cw))
 		}
-	} else {
-		for _, fi := range reps {
-			s.weights[fi] = 1
-		}
+		s.weights[fi] = w
 	}
 	s.units = sched.Partition(reps, func(i int) int64 { return s.weights[reps[i]] }, nw*sched.UnitsPerWorker)
 	switch lanes {
@@ -460,9 +423,6 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 
 // NumFaults returns the universe size.
 func (s *Simulator) NumFaults() int { return len(s.universe) }
-
-// Engine returns the configured engine kind.
-func (s *Simulator) Engine() EngineKind { return s.opts.Engine }
 
 // Stats returns the cumulative work counters.
 func (s *Simulator) Stats() Stats {
@@ -620,7 +580,7 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 // machine and per-worker machines, so allocations and cache-warm state
 // survive across batches.
 //
-// In event mode (the default) each fault is simulated cone-limited:
+// Each fault is simulated cone-limited:
 // the cone theorem says a fault at gate g can only ever disturb the
 // signals in Topology().Cone[g.Out] — every gate outside that cone has
 // unmodified function and (by cone closure) reads only out-of-cone
@@ -636,8 +596,7 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 // gate evaluations.
 type engine[V lanevec.Vec[V]] struct {
 	s       *Simulator
-	mode    EngineKind
-	topo    *netlist.Topology // cone index; event mode only
+	topo    *netlist.Topology // cone index
 	good    *machine[V]       // built on first use, reused for good runs
 	workers []*machine[V]     // sticky per-worker machines
 	pk      packedBatch[V]    // pooled packed-batch arenas, reused per run
@@ -656,11 +615,7 @@ type engine[V lanevec.Vec[V]] struct {
 }
 
 func newEngine[V lanevec.Vec[V]](s *Simulator) *engine[V] {
-	e := &engine[V]{s: s, mode: s.opts.Engine, workers: make([]*machine[V], s.nworkers)}
-	if e.mode == EngineEvent {
-		e.topo = s.c.Topology()
-	}
-	return e
+	return &engine[V]{s: s, topo: s.c.Topology(), workers: make([]*machine[V], s.nworkers)}
 }
 
 // addStats folds the engine's work counters into st.
@@ -696,38 +651,26 @@ func (e *engine[V]) prefetchMachine() *machine[V] {
 	return e.pf
 }
 
-// sufficientTrace reports whether a trace satisfies the requirement
-// level of a lookup.
-func sufficientTrace[V lanevec.Vec[V]](tr *goodTrace[V], needCycles, needStates bool) bool {
-	return (tr.good1 != nil || !needCycles) && (tr.hasStates() || !needStates)
-}
-
 // traceFor returns the good machine's trace for the batch, serving it
 // from the shared cache when the same sequence set was simulated
 // before (by this or any other Simulator), waiting on an in-flight
 // computation by any other goroutine (singleflight — N identical
 // concurrent queries settle the good circuit once), and
-// computing+publishing it on m otherwise.  needCycles requests the
-// per-cycle output trace on top of the reset response; needStates
-// additionally requests the full-state fixpoint trace the cone-limited
-// engine consumes.
-func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], m *machine[V], needCycles, needStates bool) *goodTrace[V] {
+// computing+publishing it on m otherwise.
+func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], m *machine[V]) *goodTrace[V] {
 	var zero V
 	key := traceKey{c: e.s.c, width: zero.Size(), hash: hashSeqs(b.Seqs)}
 	for {
 		if cached := lookupTrace(key, b.Seqs); cached != nil {
-			tr := cached.(*goodTrace[V])
-			if sufficientTrace(tr, needCycles, needStates) {
-				e.cacheHits.Add(1)
-				return tr
-			}
+			e.cacheHits.Add(1)
+			return cached.(*goodTrace[V])
 		}
-		fl, leader := beginTraceFlight(key, b.Seqs, needCycles, needStates)
+		fl, leader := beginTraceFlight(key, b.Seqs)
 		if !leader {
 			<-fl.done
-			// The flight covered our requirements, so its result (also
-			// published via storeTrace) serves directly; a nil result
-			// means the leader failed — loop and compute ourselves.
+			// The flight's result (also published via storeTrace) serves
+			// directly; a nil result means the leader failed — loop and
+			// compute ourselves.
 			if tr, ok := fl.tr.(*goodTrace[V]); ok && tr != nil {
 				e.cacheHits.Add(1)
 				return tr
@@ -735,7 +678,7 @@ func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], m *machine[V], needCy
 			continue
 		}
 		e.cacheMisses.Add(1)
-		tr := e.computeTrace(b, pk, m, needCycles, needStates)
+		tr := e.computeTrace(b, pk, m)
 		storeTrace(key, b.Seqs, tr)
 		finishTraceFlight(fl, tr)
 		return tr
@@ -743,37 +686,28 @@ func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], m *machine[V], needCy
 }
 
 // computeTrace records the good machine's trace for the batch on m.
-func (e *engine[V]) computeTrace(b *Batch, pk *packedBatch[V], m *machine[V], needCycles, needStates bool) *goodTrace[V] {
+func (e *engine[V]) computeTrace(b *Batch, pk *packedBatch[V], m *machine[V]) *goodTrace[V] {
 	tr := &goodTrace[V]{}
-	if needStates {
-		tr.runEvents(m, pk, e.topo)
-		// Derive the diff bitsets eagerly so their cost is accounted to
-		// the Simulator that recorded the trace (cache hits then find
-		// them precomputed).
-		e.allocs.Add(tr.diffs(e.s.c).allocs)
-	} else {
-		tr.run(m, pk, needCycles)
-	}
+	tr.run(m, pk, e.topo)
+	// Derive the diff bitsets eagerly so their cost is accounted to the
+	// Simulator that recorded the trace (cache hits then find them
+	// precomputed).
+	e.allocs.Add(tr.diffs(e.s.c).allocs)
 	e.allocs.Add(tr.allocs)
 	return tr
 }
 
 // prefetch computes (and publishes to the shared cache) the good trace
 // of a future batch, on dedicated arenas and a dedicated machine, so
-// it can run while the current batch's faults settle.  Only the event
-// engine prefetches: it always needs the full-state trace, whereas a
-// sweep batch with declared responses needs no good run at all.
+// it can run while the current batch's faults settle.
 func (e *engine[V]) prefetch(b *Batch) {
-	if e.mode != EngineEvent {
-		return
-	}
 	pk := &e.pfPk
 	var pfAllocs int64
 	if err := pack[V](e.s.c, b, pk, &pfAllocs); err != nil {
 		return // the real run will surface the error
 	}
 	e.allocs.Add(pfAllocs)
-	e.traceFor(b, pk, e.prefetchMachine(), true, true)
+	e.traceFor(b, pk, e.prefetchMachine())
 }
 
 // run simulates one batch: pack, fill the response trace, then settle
@@ -816,29 +750,18 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 		return res, nil
 	}
 
-	// The reset trace is only consulted under CheckReset, so a batch
-	// that declares its Expected responses and doesn't check reset
-	// needs no good run for the sweep engine; the event engine always
-	// needs the good machine's state trace to seed its cones (one good
-	// run buys every fault a cone-limited ride, and the trace cache
-	// often buys it back entirely).
-	needReset := s.opts.CheckReset && b.ResetExpected == nil
-	needCycles := pk.good1 == nil
-	var tr *goodTrace[V]
-	var df *traceDiffs
-	if e.mode == EngineEvent {
-		tr = e.traceFor(b, pk, e.goodMachine(), true, true)
-		df = tr.diffs(s.c)
-	} else if needReset || needCycles {
-		tr = e.traceFor(b, pk, e.goodMachine(), needCycles, false)
+	// Every batch needs the good machine's state trace to seed its
+	// cones, even one that declares its responses: one good run buys
+	// every fault a cone-limited ride, and the trace cache often buys
+	// it back entirely.  Declared responses take precedence over the
+	// trace's for detection.
+	tr := e.traceFor(b, pk, e.goodMachine())
+	df := tr.diffs(s.c)
+	if pk.reset1 == nil {
+		pk.reset1, pk.reset0 = tr.reset1, tr.reset0
 	}
-	if tr != nil {
-		if pk.reset1 == nil {
-			pk.reset1, pk.reset0 = tr.reset1, tr.reset0
-		}
-		if needCycles {
-			pk.good1, pk.good0 = tr.good1, tr.good0
-		}
+	if pk.good1 == nil {
+		pk.good1, pk.good0 = tr.good1, tr.good0
 	}
 
 	// A lazily-seeded fault machine maintains only its support signals
@@ -849,10 +772,7 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	// responses; if any declared bit definitely contradicts the good
 	// trace, an out-of-cone output could detect at that lane for every
 	// fault, so the batch falls back to eager full maintenance.
-	eager := s.opts.eagerSeed
-	if e.mode == EngineEvent && !eager {
-		eager = !expectedMatchesGood(b, pk, tr, s.opts.CheckReset)
-	}
+	eager := s.opts.eagerSeed || !expectedMatchesGood(b, pk, tr, s.opts.CheckReset)
 
 	// Class members are disjoint, so workers write disjoint res.Lanes
 	// entries and no synchronisation is needed beyond the pool's join
@@ -926,20 +846,13 @@ func (e *engine[V]) runUnit(w int, pk *packedBatch[V], tr *goodTrace[V], df *tra
 }
 
 // runFault evaluates one fault against the whole batch, stopping at the
-// first detection unless NoDrop.  Event mode settles cone-limited
-// against the good trace; sweep mode settles the whole circuit.
+// first detection unless NoDrop, settling cone-limited against the
+// good trace.
 func (e *engine[V]) runFault(m *machine[V], pk *packedBatch[V], tr *goodTrace[V], df *traceDiffs, fi int, eager bool) (mask V, lane, cycle int, ok bool) {
 	s := e.s
-	event := e.mode == EngineEvent
 	m.setAll(pk.all)
-	if event {
-		f := &s.universe[fi]
-		cone := e.topo.ConeOf(s.c.Gates[f.Gate].Out)
-		m.eventReset(f, cone, e.topo, tr, df, eager)
-	} else {
-		m.inject(&s.universe[fi])
-		m.reset()
-	}
+	f := &s.universe[fi]
+	m.eventReset(f, e.topo.ConeOf(s.c.Gates[f.Gate].Out), e.topo, tr, df, eager)
 	lane, cycle = -1, -1
 	if s.opts.CheckReset {
 		if d := m.detectVs(pk.reset1, pk.reset0); !d.IsZero() {
@@ -956,11 +869,7 @@ func (e *engine[V]) runFault(m *machine[V], pk *packedBatch[V], tr *goodTrace[V]
 		}
 	}
 	for t := 0; t < pk.cycles; t++ {
-		if event {
-			m.eventApply(t, tr, df)
-		} else {
-			m.apply(pk.rails[t])
-		}
+		m.eventApply(t, tr, df)
 		d := m.detectVs(pk.good1[t], pk.good0[t]).And(pk.live[t])
 		if d.IsZero() {
 			continue

@@ -4,12 +4,12 @@ package fsim
 // cone-limited event engine (support-only state loads, marked rewinds,
 // explicit driver seeds, cone-restricted detection) must be observably
 // identical to the eager fallback (full state loads, every cone gate
-// enqueued per phase, all outputs compared), which in turn is the
-// behavior the event-vs-sweep suite pins to the Jacobi oracle.  The
-// comparison runs the full batch surface — per-lane masks, detection
-// attribution (fault/lane/cycle) and complete detection-matrix rows —
-// across multi-word random circuits (65–300 signals), the ISCAS-89
-// derived corpus, both engines, and every fault selection.
+// enqueued per phase, all outputs compared).  The comparison runs the
+// full batch surface — per-lane masks, detection attribution
+// (fault/lane/cycle) and complete detection-matrix rows — across
+// multi-word random circuits (65–300 signals), the ISCAS-89 derived
+// corpus and every fault selection, and a sample of the matrix rows is
+// replayed on the scalar reference machine (sim.Machine).
 
 import (
 	"math/rand"
@@ -22,7 +22,7 @@ import (
 	"repro/internal/randckt"
 )
 
-// runBoth simulates the batch stream with lazy and with eager seeding
+// compareLazyEager simulates the batch stream with lazy and with eager seeding
 // and requires bit-identical results on every surface.
 func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int) {
 	t.Helper()
@@ -33,7 +33,7 @@ func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe [
 	}
 	run := func(eager bool) outcome {
 		s, err := New(c, universe, Options{
-			Lanes: lanes, Engine: EngineEvent, CheckReset: true,
+			Lanes: lanes, CheckReset: true,
 			eagerSeed: eager,
 		})
 		if err != nil {
@@ -85,39 +85,46 @@ func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe [
 	}
 }
 
-// compareMatrices requires identical full detection-matrix rows across
-// lazy event, eager event and (optionally) the sweep engine.
-func compareMatrices(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int, withSweep bool) {
+// scalarSamples is how many evenly spaced faults per universe
+// compareMatrices replays on the scalar machine: enough to catch a
+// wrong row anywhere in the universe, few enough that s953's scalar
+// replay stays a small share of the suite.
+const scalarSamples = 12
+
+// compareMatrices requires identical full detection-matrix rows from
+// lazy and eager seeding, and lazy rows equal to the scalar replay on
+// a sample of the universe.
+func compareMatrices(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int) {
 	t.Helper()
-	matrix := func(engine EngineKind, eager bool) []LaneMask {
+	matrix := func(eager bool) []LaneMask {
 		rows, _, err := DetectionMatrix(c, universe, seqs, nil, nil, Options{
-			Lanes: lanes, Engine: engine, CheckReset: true, eagerSeed: eager,
+			Lanes: lanes, CheckReset: true, eagerSeed: eager,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		return rows
 	}
-	lazy := matrix(EngineEvent, false)
-	for _, ref := range []struct {
-		name string
-		rows []LaneMask
-		on   bool
-	}{
-		{"eager-event", matrix(EngineEvent, true), true},
-		{"sweep", nil, withSweep},
-	} {
-		if !ref.on {
-			continue
+	lazy, eager := matrix(false), matrix(true)
+	for fi := range universe {
+		if !lazy[fi].Equal(eager[fi]) {
+			t.Fatalf("%s fault %s: lazy row %v != eager row %v",
+				label, universe[fi].Describe(c), lazy[fi], eager[fi])
 		}
-		rows := ref.rows
-		if rows == nil {
-			rows = matrix(EngineSweep, false)
-		}
-		for fi := range universe {
-			if !lazy[fi].Equal(rows[fi]) {
-				t.Fatalf("%s fault %s: lazy-event row %v != %s row %v",
-					label, universe[fi].Describe(c), lazy[fi], ref.name, rows[fi])
+	}
+	stride := max(1, len(universe)/scalarSamples)
+	var sample []int
+	var sampled []faults.Fault
+	for fi := 0; fi < len(universe); fi += stride {
+		sample = append(sample, fi)
+		sampled = append(sampled, universe[fi])
+	}
+	want := scalarMatrix(c, sampled, seqs, injected(c))
+	for k, fi := range sample {
+		for l := range seqs {
+			if lazy[fi].Has(l) != want[k][l] {
+				t.Fatalf("%s fault %s: sequence %d detection %v, scalar %v",
+					label, universe[fi].Describe(c), l, lazy[fi].Has(l), want[k][l])
 			}
 		}
 	}
@@ -152,17 +159,12 @@ var faultSelections = []struct {
 // TestLazyVsEagerRandckt sweeps seeded random multi-word circuits from
 // just past the one-word ceiling up to ~300 signals.
 func TestLazyVsEagerRandckt(t *testing.T) {
-	// The Jacobi sweep oracle costs O(gates) per pattern per fault
-	// class, so the largest band pins lazy against eager event only —
-	// eager-event-vs-sweep at that scale is covered by the multi-word
-	// parity corpus and the scale benchmark's own parity assertion.
 	bands := []struct {
 		min, max int // gate counts; signals = 2·inputs + gates
-		sweep    bool
 	}{
-		{61, 90, true},    // 65–96 signals
-		{120, 170, true},  // 124–176 signals
-		{230, 290, false}, // 234–296 signals
+		{61, 90},   // 65–96 signals
+		{120, 170}, // 124–176 signals
+		{230, 290}, // 234–296 signals
 	}
 	per := 3
 	if testing.Short() {
@@ -188,17 +190,13 @@ func TestLazyVsEagerRandckt(t *testing.T) {
 				for _, lanes := range []int{64, 256} {
 					compareLazyEager(t, label, c, universe, seqs, lanes)
 				}
-				compareMatrices(t, label, c, universe, seqs, 64, band.sweep)
+				compareMatrices(t, label, c, universe, seqs, 64)
 			}
 		}
 	}
 }
 
-// TestLazyVsEagerISCAS runs the corpus circuits.  The sweep-engine
-// cross-check is skipped where its full-Jacobi cost would dominate the
-// suite (s953 beyond the stuck-at selection); the event-vs-sweep
-// equivalence there is already pinned by the scale benchmark's parity
-// assertion and the randckt bands above.
+// TestLazyVsEagerISCAS runs the corpus circuits.
 func TestLazyVsEagerISCAS(t *testing.T) {
 	shapes := map[string]struct{ nseq, cycles int }{
 		"s27":  {32, 8},
@@ -228,8 +226,7 @@ func TestLazyVsEagerISCAS(t *testing.T) {
 			universe := faults.SelectUniverse(c, faults.InputSA, fs.sel)
 			label := name + "/" + fs.name
 			compareLazyEager(t, label, c, universe, seqs, 64)
-			withSweep := name != "s953" || fs.sel == faults.SelStuckAt
-			compareMatrices(t, label, c, universe, seqs, 64, withSweep)
+			compareMatrices(t, label, c, universe, seqs, 64)
 		}
 	}
 }

@@ -8,12 +8,13 @@ import (
 )
 
 // machine is the pattern-parallel instantiation of the shared
-// lanevec.Engine sweep core: one (possibly faulty) circuit simulated
+// lanevec.Engine settling core: one (possibly faulty) circuit simulated
 // across the lanes of V, where each lane carries an independent test
-// sequence and the single stuck-at fault is injected uniformly (the
-// PPSFP orientation).  The engine is the same generic settle/evalGate
-// that sim.Parallel instantiates with per-lane fault masks; a uniform
-// fault is simply an override whose mask covers every active lane.
+// sequence and the single fault is injected uniformly (the PPSFP
+// orientation).  The engine is the same generic evalGate and event
+// kernels that sim.Parallel instantiates with per-lane fault masks; a
+// uniform fault is simply an override whose mask covers every active
+// lane.
 type machine[V lanevec.Vec[V]] struct {
 	eng *lanevec.Engine[V]
 
@@ -36,16 +37,12 @@ func newMachine[V lanevec.Vec[V]](c *netlist.Circuit) *machine[V] {
 // reused machine.
 func (m *machine[V]) setAll(all V) { m.eng.SetAll(all) }
 
-// inject selects the fault simulated by subsequent reset/apply calls
-// (nil: the good machine).  Stuck-at faults become pin/output override
-// masks; transition faults become directional overrides (slow-to-rise:
-// the output may only fall, and dually).  New rejects everything else
-// up front.
+// inject selects the fault simulated by subsequent settles.  Stuck-at
+// faults become pin/output override masks; transition faults become
+// directional overrides (slow-to-rise: the output may only fall, and
+// dually).  New rejects everything else up front.
 func (m *machine[V]) inject(f *faults.Fault) {
 	m.eng.ClearOverrides()
-	if f == nil {
-		return
-	}
 	all := m.eng.All()
 	var zero V
 	switch f.Type {
@@ -64,15 +61,6 @@ func (m *machine[V]) inject(f *faults.Fault) {
 	}
 }
 
-// reset loads the circuit's declared initial state into every lane and
-// settles (a fault can destabilise the reset state).
-func (m *machine[V]) reset() { m.eng.Reset() }
-
-// apply drives the primary-input rails with per-lane values and
-// settles: rails[i] holds the lane vector of input i.  One synchronous
-// test cycle for all lanes at once.
-func (m *machine[V]) apply(rails []V) { m.eng.ApplyRails(rails) }
-
 // detectVs returns the lanes whose primary outputs are definitely
 // different from the good response encoded as per-output definite
 // vectors — detection guaranteed under every delay assignment.  After
@@ -85,9 +73,6 @@ func (m *machine[V]) detectVs(good1, good0 []V) V {
 	}
 	return m.eng.DetectVs(good1, good0)
 }
-
-// laneState extracts the ternary state of one lane (tests/debugging).
-func (m *machine[V]) laneState(lane int) logic.Vec { return m.eng.LaneState(lane) }
 
 // clearActivity zeroes the activity accumulated since the last clear,
 // scanning only the span that could hold it.

@@ -133,7 +133,7 @@ func TestDetectionMatrixRaggedTrailingBatches(t *testing.T) {
 
 // TestDetectionMatrixMatchesChunkedBatches pins DetectionMatrix to a
 // hand-rolled SimulateSequences accumulation: same rows at every lane
-// width and engine, nonzero rows exactly for the detected faults, and
+// width, nonzero rows exactly for the detected faults, and
 // bit-identical masks across widths (the batch layout must not leak
 // into the matrix).
 func TestDetectionMatrixMatchesChunkedBatches(t *testing.T) {
@@ -162,55 +162,53 @@ func TestDetectionMatrixMatchesChunkedBatches(t *testing.T) {
 		universe := append(faults.OutputUniverse(c), faults.InputUniverse(c)...)
 
 		var ref []LaneMask
-		for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-			for _, lanes := range []int{64, 128, 256} {
-				opts := Options{Workers: 2, Lanes: lanes, Engine: engine, CheckReset: true}
-				rows, stats, err := DetectionMatrix(c, universe, seqs, nil, nil, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Patterns == 0 {
-					t.Fatalf("seed %d: matrix pass applied no patterns", seed)
-				}
-				// Hand-rolled accumulation through the raw batch API.
-				s, err := New(c, universe, Options{Workers: 2, Lanes: lanes, Engine: engine, CheckReset: true, NoDrop: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([]LaneMask, len(universe))
-				for fi := range want {
-					want[fi] = make(LaneMask, (nseq+63)/64)
-				}
-				err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
-					for fi := range universe {
-						for l := 0; base+l < nseq; l++ {
-							if br.Lanes[fi].Has(l) {
-								want[fi][(base+l)>>6] |= 1 << uint((base+l)&63)
-							}
-						}
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, lanes := range []int{64, 128, 256} {
+			opts := Options{Workers: 2, Lanes: lanes, CheckReset: true}
+			rows, stats, err := DetectionMatrix(c, universe, seqs, nil, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Patterns == 0 {
+				t.Fatalf("seed %d: matrix pass applied no patterns", seed)
+			}
+			// Hand-rolled accumulation through the raw batch API.
+			s, err := New(c, universe, Options{Workers: 2, Lanes: lanes, CheckReset: true, NoDrop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]LaneMask, len(universe))
+			for fi := range want {
+				want[fi] = make(LaneMask, (nseq+63)/64)
+			}
+			err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
 				for fi := range universe {
-					if !rows[fi].Equal(want[fi]) {
-						t.Fatalf("seed %d engine %s lanes %d fault %s: matrix row %v, chunked %v",
-							seed, engine, lanes, universe[fi].Describe(c), rows[fi], want[fi])
-					}
-					if rows[fi].Any() != s.Detected(fi) {
-						t.Fatalf("seed %d fault %s: row nonempty=%v but Detected=%v",
-							seed, universe[fi].Describe(c), rows[fi].Any(), s.Detected(fi))
+					for l := 0; base+l < nseq; l++ {
+						if br.Lanes[fi].Has(l) {
+							want[fi][(base+l)>>6] |= 1 << uint((base+l)&63)
+						}
 					}
 				}
-				if ref == nil {
-					ref = rows
-				} else {
-					for fi := range universe {
-						if !rows[fi].Equal(ref[fi]) {
-							t.Fatalf("seed %d: engine %s lanes %d row differs from reference for fault %s",
-								seed, engine, lanes, universe[fi].Describe(c))
-						}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fi := range universe {
+				if !rows[fi].Equal(want[fi]) {
+					t.Fatalf("seed %d lanes %d fault %s: matrix row %v, chunked %v",
+						seed, lanes, universe[fi].Describe(c), rows[fi], want[fi])
+				}
+				if rows[fi].Any() != s.Detected(fi) {
+					t.Fatalf("seed %d fault %s: row nonempty=%v but Detected=%v",
+						seed, universe[fi].Describe(c), rows[fi].Any(), s.Detected(fi))
+				}
+			}
+			if ref == nil {
+				ref = rows
+			} else {
+				for fi := range universe {
+					if !rows[fi].Equal(ref[fi]) {
+						t.Fatalf("seed %d: lanes %d row differs from reference for fault %s",
+							seed, lanes, universe[fi].Describe(c))
 					}
 				}
 			}

@@ -7,8 +7,8 @@ package fsim
 // f∨self table and the scalar ternary machine simulates the copy one
 // fault × one sequence at a time.  The override path never builds a
 // circuit copy, which is the whole point; these tests are what make
-// that shortcut trustworthy, across every lane width, both engines,
-// with and without dropping, on random cyclic circuits and on the
+// that shortcut trustworthy, across every lane width, with and without
+// dropping, on random cyclic circuits and on the
 // Table-1 suite.
 
 import (
@@ -23,13 +23,20 @@ import (
 	"repro/internal/sim"
 )
 
-// materialisedMatrix is the serial differential oracle: for every
-// fault, materialise the circuit copy (faults.Apply), replay each
-// sequence from reset on the scalar ternary machine, and record the
+// materialisedMatrix is the serial differential oracle with every
+// fault materialised as a circuit copy (faults.Apply).
+func materialisedMatrix(c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64) [][]bool {
+	return scalarMatrix(c, universe, seqs, func(f faults.Fault) sim.Machine {
+		return sim.Machine{C: faults.Apply(c, f)}
+	})
+}
+
+// scalarMatrix replays each sequence from reset on the scalar ternary
+// machine the machine callback builds for each fault, and records the
 // lanes whose outputs are guaranteed to differ from the good machine —
 // at the reset response (reported uniformly across lanes, as the
-// engine does) or at some cycle.
-func materialisedMatrix(c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64) [][]bool {
+// engine does under CheckReset) or at some cycle of the sequence.
+func scalarMatrix(c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, machine func(faults.Fault) sim.Machine) [][]bool {
 	good := sim.Machine{C: c}
 	goodInit := good.InitState()
 	goodStates := make([][]logic.Vec, len(seqs))
@@ -43,7 +50,7 @@ func materialisedMatrix(c *netlist.Circuit, universe []faults.Fault, seqs [][]ui
 	}
 	mx := make([][]bool, len(universe))
 	for fi, f := range universe {
-		fm := sim.Machine{C: faults.Apply(c, f)}
+		fm := machine(f)
 		fInit := fm.InitState()
 		mx[fi] = make([]bool, len(seqs))
 		resetDet := scalarDetects(c, goodInit, fInit)
@@ -64,11 +71,11 @@ func materialisedMatrix(c *netlist.Circuit, universe []faults.Fault, seqs [][]ui
 }
 
 // engineMatrix collects the fault × sequence detection matrix of the
-// override-based engine (NoDrop, CheckReset) for one width and engine.
-func engineMatrix(t *testing.T, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int, engine EngineKind, noCollapse bool) [][]bool {
+// override-based engine (NoDrop, CheckReset) for one width.
+func engineMatrix(t *testing.T, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int, noCollapse bool) [][]bool {
 	t.Helper()
 	s, err := New(c, universe, Options{
-		Workers: 2, Lanes: lanes, Engine: engine,
+		Workers: 2, Lanes: lanes,
 		NoDrop: true, CheckReset: true, NoCollapse: noCollapse,
 	})
 	if err != nil {
@@ -109,7 +116,7 @@ func randSeqs(rng *rand.Rand, m, nseq, cycles int) [][]uint64 {
 // simulation of the full TransitionUniverse to the materialised-circuit
 // serial oracle on seeded random cyclic circuits (C elements included,
 // whose self input exercises the monotone-in-self argument), at every
-// lane width, on both engines, collapsed and uncollapsed.
+// lane width, collapsed and uncollapsed.
 func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 	seeds := 15
 	if testing.Short() {
@@ -129,15 +136,13 @@ func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 		want := materialisedMatrix(c, universe, seqs)
 
 		for _, lanes := range []int{64, 128, 256} {
-			for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-				for _, noCollapse := range []bool{false, true} {
-					got := engineMatrix(t, c, universe, seqs, lanes, engine, noCollapse)
-					for fi := range universe {
-						for l := 0; l < nseq; l++ {
-							if got[fi][l] != want[fi][l] {
-								t.Fatalf("seed %d fault %s lanes=%d engine=%s noCollapse=%v: sequence %d detection %v, oracle %v",
-									seed, universe[fi].Describe(c), lanes, engine, noCollapse, l, got[fi][l], want[fi][l])
-							}
+			for _, noCollapse := range []bool{false, true} {
+				got := engineMatrix(t, c, universe, seqs, lanes, noCollapse)
+				for fi := range universe {
+					for l := 0; l < nseq; l++ {
+						if got[fi][l] != want[fi][l] {
+							t.Fatalf("seed %d fault %s lanes=%d noCollapse=%v: sequence %d detection %v, oracle %v",
+								seed, universe[fi].Describe(c), lanes, noCollapse, l, got[fi][l], want[fi][l])
 						}
 					}
 				}
@@ -145,26 +150,24 @@ func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 		}
 
 		// Dropping only skips redundant work, never changes a verdict.
-		for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-			s, err := New(c, universe, Options{Engine: engine, CheckReset: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.SimulateSequences(seqs, nil, nil, func(int, *BatchResult) {}); err != nil {
-				t.Fatal(err)
-			}
-			for fi := range universe {
-				wantDet := false
-				for l := range want[fi] {
-					if want[fi][l] {
-						wantDet = true
-						break
-					}
+		s, err := New(c, universe, Options{CheckReset: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SimulateSequences(seqs, nil, nil, func(int, *BatchResult) {}); err != nil {
+			t.Fatal(err)
+		}
+		for fi := range universe {
+			wantDet := false
+			for l := range want[fi] {
+				if want[fi][l] {
+					wantDet = true
+					break
 				}
-				if s.Detected(fi) != wantDet {
-					t.Fatalf("seed %d fault %s engine=%s: dropped run detected=%v, oracle %v",
-						seed, universe[fi].Describe(c), engine, s.Detected(fi), wantDet)
-				}
+			}
+			if s.Detected(fi) != wantDet {
+				t.Fatalf("seed %d fault %s: dropped run detected=%v, oracle %v",
+					seed, universe[fi].Describe(c), s.Detected(fi), wantDet)
 			}
 		}
 	}
@@ -175,9 +178,8 @@ func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 }
 
 // TestTransitionSuiteParity runs the combined stuck-at + transition
-// universe over the Table-1 benchmark circuits: the override engines
-// must match the materialised oracle exactly, and event must match
-// sweep at every width.
+// universe over the Table-1 benchmark circuits: the override engine
+// must match the materialised oracle exactly at every width.
 func TestTransitionSuiteParity(t *testing.T) {
 	suite := circuits.SpeedIndependent()
 	if testing.Short() {
@@ -191,14 +193,12 @@ func TestTransitionSuiteParity(t *testing.T) {
 		universe := append(faults.InputUniverse(c), faults.TransitionUniverse(c)...)
 		want := materialisedMatrix(c, universe, seqs)
 		for _, lanes := range []int{64, 128, 256} {
-			for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-				got := engineMatrix(t, c, universe, seqs, lanes, engine, false)
-				for fi := range universe {
-					for l := 0; l < nseq; l++ {
-						if got[fi][l] != want[fi][l] {
-							t.Fatalf("%s fault %s lanes=%d engine=%s: sequence %d detection %v, oracle %v",
-								bm.Name, universe[fi].Describe(c), lanes, engine, l, got[fi][l], want[fi][l])
-						}
+			got := engineMatrix(t, c, universe, seqs, lanes, false)
+			for fi := range universe {
+				for l := 0; l < nseq; l++ {
+					if got[fi][l] != want[fi][l] {
+						t.Fatalf("%s fault %s lanes=%d: sequence %d detection %v, oracle %v",
+							bm.Name, universe[fi].Describe(c), lanes, l, got[fi][l], want[fi][l])
 					}
 				}
 			}

@@ -40,8 +40,8 @@ type dirOverride[V Vec[V]] struct {
 // vectors (p1 bit l set: "in lane l the signal may be 1"; p0: "may be
 // 0"; both: Φ).  Every operation is lanewise, so the lane columns
 // evolve completely independently and each converges to exactly the
-// scalar SettleTernary fixpoint — the differential tests in
-// internal/fsim rely on this.
+// scalar SettleTernary fixpoint — the differential tests against
+// sim.Machine rely on this.
 //
 // Faults are injected as overrides: per-lane pin masks (fault-per-lane)
 // or all-lane masks (one uniform fault, pattern-per-lane).  An output
@@ -57,17 +57,9 @@ type Engine[V Vec[V]] struct {
 	outOv []outOverride[V]   // per gate: output stuck-at overrides
 	dirOv []dirOverride[V]   // per gate: directional (transition-fault) overrides
 	hasOv []bool             // per gate: any override set
-	dirty []int              // gates with any override set (the overridden partition)
-
-	// clean is the complement of dirty: the gates evaluated by the
-	// pure kernels.  The sweep and event kernels dispatch off this
-	// partition instead of testing hasOv per gate per sweep; it is
-	// rebuilt lazily (cleanStale) when the override set changes.
-	clean      []int
-	cleanStale bool
+	dirty []int              // gates with any override set
 
 	p1, p0 []V // current possibility vectors, indexed by signal
-	t1, t0 []V // scratch for Jacobi sweeps
 
 	// Event-driven settling state (nil until InitEvents); chg holds the
 	// per-lane activity mask accumulated per signal since ClearActivity.
@@ -76,7 +68,7 @@ type Engine[V Vec[V]] struct {
 
 	initW []uint64 // cached multi-word initial state (lazily built)
 
-	evals int64 // cumulative gate evaluations (sweep + event kernels)
+	evals int64 // cumulative gate evaluations
 }
 
 // NewEngine builds an engine for the circuit with no lanes active and
@@ -84,17 +76,13 @@ type Engine[V Vec[V]] struct {
 func NewEngine[V Vec[V]](c *netlist.Circuit) *Engine[V] {
 	n := c.NumSignals()
 	return &Engine[V]{
-		c:          c,
-		inOv:       make([][]PinOverride[V], c.NumGates()),
-		outOv:      make([]outOverride[V], c.NumGates()),
-		dirOv:      make([]dirOverride[V], c.NumGates()),
-		hasOv:      make([]bool, c.NumGates()),
-		clean:      make([]int, 0, c.NumGates()),
-		cleanStale: true,
-		p1:         make([]V, n),
-		p0:         make([]V, n),
-		t1:         make([]V, n),
-		t0:         make([]V, n),
+		c:     c,
+		inOv:  make([][]PinOverride[V], c.NumGates()),
+		outOv: make([]outOverride[V], c.NumGates()),
+		dirOv: make([]dirOverride[V], c.NumGates()),
+		hasOv: make([]bool, c.NumGates()),
+		p1:    make([]V, n),
+		p0:    make([]V, n),
 	}
 }
 
@@ -143,7 +131,6 @@ func (e *Engine[V]) markDirty(gi int) {
 	}
 	e.hasOv[gi] = true
 	e.dirty = append(e.dirty, gi)
-	e.cleanStale = true
 }
 
 // ClearOverrides removes every override in O(overridden gates), so a
@@ -157,32 +144,12 @@ func (e *Engine[V]) ClearOverrides() {
 		e.dirOv[gi] = zeroDir
 		e.hasOv[gi] = false
 	}
-	if len(e.dirty) > 0 {
-		e.cleanStale = true
-	}
 	e.dirty = e.dirty[:0]
 }
 
-// partition rebuilds the clean gate list after the override set
-// changed.  Gate order within a partition is irrelevant: the sweeps are
-// Jacobi (double-buffered) and the event phases are confluent, so the
-// settled state is identical to the old per-gate hasOv dispatch.
-func (e *Engine[V]) partition() {
-	if !e.cleanStale {
-		return
-	}
-	e.cleanStale = false
-	e.clean = e.clean[:0]
-	for gi := 0; gi < e.c.NumGates(); gi++ {
-		if !e.hasOv[gi] {
-			e.clean = append(e.clean, gi)
-		}
-	}
-}
-
 // GateEvals returns the cumulative number of gate evaluations this
-// engine has performed (sweep and event kernels alike) — the work
-// metric the event-driven engine exists to shrink.
+// engine has performed — the work metric cone limiting and activity
+// seeding exist to shrink.
 func (e *Engine[V]) GateEvals() int64 { return e.evals }
 
 // LoadInit loads the circuit's declared initial state into every
@@ -206,34 +173,6 @@ func (e *Engine[V]) LoadInit() {
 // lane and settles (a fault can destabilise the reset state).
 func (e *Engine[V]) Reset() {
 	e.LoadInit()
-	e.Settle()
-}
-
-// ApplyRails drives the primary-input rails with per-lane values and
-// settles: rails[i] holds the lane vector of input i (bit l = the value
-// lane l applies this cycle).  One synchronous test cycle for all lanes
-// at once.
-func (e *Engine[V]) ApplyRails(rails []V) {
-	for i := 0; i < e.c.NumInputs(); i++ {
-		w := rails[i].And(e.all)
-		e.p1[i], e.p0[i] = w, e.all.AndNot(w)
-	}
-	e.Settle()
-}
-
-// ApplyRailsX drives the primary-input rails with per-lane *ternary*
-// values and settles: input i is possibly-1 in the lanes of r1[i] and
-// possibly-0 in the lanes of r0[i], so a lane with both bits set
-// applies X to that input.  This is the partial-assignment cycle the
-// deterministic (PODEM) phase needs: unassigned inputs stay X and the
-// settle computes exactly the ternary implication closure of the
-// assignment, lanewise.  Lanes where an input is in neither vector
-// would encode the empty value; callers must keep r1∪r0 ⊇ all.
-func (e *Engine[V]) ApplyRailsX(r1, r0 []V) {
-	for i := 0; i < e.c.NumInputs(); i++ {
-		e.p1[i] = r1[i].And(e.all)
-		e.p0[i] = r0[i].And(e.all)
-	}
 	e.Settle()
 }
 
@@ -275,29 +214,26 @@ func (e *Engine[V]) LaneState(lane int) logic.Vec {
 	return st
 }
 
-// Settle runs parallel algorithm A (information-raising) then parallel
-// algorithm B (lowering), Jacobi sweeps, all lanes at once.  This is
+// Settle runs algorithm A (information-raising) then algorithm B
+// (lowering) over the whole circuit, all lanes at once.  This is
 // Eichelberger's ternary settling, lanewise: per lane the A fixpoint
 // raises every potentially-unstable signal to Φ and B restores the
 // signals whose final value is certain under every delay assignment.
 //
-// The sweep body lives in sweep_gen.go: one kernel per width, all
-// rendered from the single template in sweepgen.go, because the
-// per-word operations must compile to straight unrolled code (generic
-// method calls go through runtime dictionaries and do not inline — a
-// ~2.5× tax on the hottest loop in the repository).  The Vec union is
-// closed, so this dispatch is exhaustive; it costs one type switch per
-// settle call, not per gate.
+// Both phases run on the event kernels with every gate seeded, and
+// every gate is admitted for the call whatever mask SetGateMask left
+// in place.  Seeding everything is what makes this a full settle from
+// an arbitrary state: no gate starts out assumed to sit at its phase's
+// fixpoint (see events.go).
 func (e *Engine[V]) Settle() {
-	e.partition()
-	switch e := any(e).(type) {
-	case *Engine[V1]:
-		settle64(e)
-	case *Engine[V2]:
-		settle128(e)
-	case *Engine[V4]:
-		settle256(e)
-	}
+	e.InitEvents(e.c.Topology())
+	mask := e.ev.gateMask
+	e.ev.gateMask = e.ev.allMask
+	e.EnqueueMaskGates()
+	e.RunRaise()
+	e.EnqueueMaskGates()
+	e.RunLower()
+	e.ev.gateMask = mask
 }
 
 // DetectVs returns the lanes whose primary outputs are definitely

@@ -1,5 +1,4 @@
-// Event-driven settling: the activity-limited alternative to the full
-// Jacobi sweeps.
+// Event-driven settling: the only way a lane vector settles.
 //
 // Both Eichelberger phases are chaotic iterations of a monotone
 // operator — phase A only ever adds possibility bits (p[out] |= eval),
@@ -7,10 +6,12 @@
 // the ternary gate functions are monotone in the information order,
 // every re-evaluation can only remove bits.  Chaotic iteration of a
 // monotone operator is confluent: any fair evaluation order reaches
-// the same least (A) or greatest-below-start (B) fixpoint the Jacobi
-// sweeps reach.  That is the correctness backbone of this file — the
-// event queue merely chooses a cheap order, it cannot change the
-// settled state, so the event engine is bit-identical to the sweeps.
+// the same least (A) or greatest-below-start (B) fixpoint a round-robin
+// sweep over every gate would reach.  That is the correctness backbone
+// of this file — the event queue merely chooses a cheap order, it
+// cannot change the settled state, so every lane lands on exactly the
+// scalar sim.SettleTernary fixpoint (the lanevec, podem and fsim
+// differential tests check this against sim.Machine).
 //
 // The completeness invariant each phase maintains is: every gate NOT
 // in the queue already satisfies its phase's fixpoint equation
@@ -50,8 +51,8 @@ type eventState struct {
 }
 
 // InitEvents prepares the engine for event-driven settling against the
-// circuit's structural index.  Idempotent; the sweep paths are
-// unaffected.  All gates are admitted until SetGateMask narrows it.
+// circuit's structural index.  Idempotent.  All gates are admitted
+// until SetGateMask narrows it.
 func (e *Engine[V]) InitEvents(topo *netlist.Topology) {
 	if e.ev != nil {
 		return
@@ -198,7 +199,8 @@ func (e *Engine[V]) SeedFromActivityOn(mask []uint64) {
 
 // RunRaise drains the queue with phase-A (information-raising, OR)
 // semantics; RunLower with phase-B (lowering, assignment) semantics.
-// Both leave the final fixpoint the matching Jacobi sweep would leave.
+// Both drain to their phase's fixpoint whatever order the queue
+// chose.
 func (e *Engine[V]) RunRaise() { e.runEvents(true) }
 
 // RunLower is phase B; see RunRaise.

@@ -1,18 +1,23 @@
 package lanevec_test
 
-// Event-vs-sweep settling parity at the lanevec level: both phases are
-// chaotic iterations of a monotone operator, so the event-driven
-// settle must land on the very fixpoint the Jacobi sweeps land on —
-// per signal, per lane, at every cycle, faults included.
+// Event-settling parity at the lanevec level: every lane of the
+// bit-parallel engine must land on exactly the state the scalar
+// reference machine (sim.Machine) reaches with that lane's single
+// fault — per signal, at reset and after every cycle — whether the
+// engine settles with every gate seeded (Settle) or with the queue
+// seeded only from the signals that changed (the fault simulator's
+// per-cycle path).
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/lanevec"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/randckt"
+	"repro/internal/sim"
 )
 
 // eventCycle drives one synchronous cycle on an event-initialised
@@ -31,6 +36,16 @@ func eventCycle[V lanevec.Vec[V]](e *lanevec.Engine[V], rails []V) {
 	e.RunLower()
 }
 
+// settleCycle drives the rails and runs a full Settle.
+func settleCycle[V lanevec.Vec[V]](e *lanevec.Engine[V], rails []V) {
+	all := e.All()
+	for i := 0; i < e.Circuit().NumInputs(); i++ {
+		w := rails[i].And(all)
+		e.SetSignal(netlist.SigID(i), w, all.AndNot(w))
+	}
+	e.Settle()
+}
+
 // eventReset loads the initial state and settles with every admitted
 // gate seeded in both phases.
 func eventReset[V lanevec.Vec[V]](e *lanevec.Engine[V]) {
@@ -41,14 +56,10 @@ func eventReset[V lanevec.Vec[V]](e *lanevec.Engine[V]) {
 	e.RunLower()
 }
 
-func TestEventSettleMatchesSweep(t *testing.T) {
-	seeds := 30
-	if testing.Short() {
-		seeds = 6
-	}
-	const lanes, cycles = 8, 6
+func TestEventSettleMatchesScalar(t *testing.T) {
+	const lanes, cycles, seeds = 8, 6, 30
 	tried := 0
-	for seed := int64(1); seed <= int64(seeds); seed++ {
+	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, ok := randckt.New(rng, randckt.Config{})
 		if !ok {
@@ -58,38 +69,53 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 		var zero lanevec.V1
 		all := zero.FirstN(lanes)
 
-		sweep := lanevec.NewEngine[lanevec.V1](c)
-		sweep.SetAll(all)
+		full := lanevec.NewEngine[lanevec.V1](c)
+		full.SetAll(all)
 		event := lanevec.NewEngine[lanevec.V1](c)
 		event.SetAll(all)
 		event.InitEvents(c.Topology())
 
-		// Inject the same per-lane faults into both engines so the
-		// override kernels are exercised by the event path too.
-		gi := rng.Intn(c.NumGates())
-		mask := zero.WithBit(rng.Intn(lanes))
-		sweep.OrOutOverride(gi, mask, zero)
-		event.OrOutOverride(gi, mask, zero)
-		gj := rng.Intn(c.NumGates())
-		if nf := len(c.Gates[gj].Fanin); nf > 0 {
-			pin := rng.Intn(nf)
-			pm := zero.WithBit(rng.Intn(lanes))
-			sweep.AddPinOverride(gj, pin, pm, true)
-			event.AddPinOverride(gj, pin, pm, true)
+		// One fault per lane, on distinct lanes, injected into both
+		// engines so every override kernel is exercised: an output
+		// stuck-at, an input stuck-at and both directional
+		// (transition-fault) kinds, the latter possibly on a gate that
+		// is not self-dependent in the good circuit — the event queue
+		// must reach the scalar fixpoint without a self reader edge.
+		// The remaining lanes run the good machine.
+		perm := rng.Perm(lanes)
+		laneFault := make([]*faults.Fault, lanes)
+		inject := func(l int, f faults.Fault) {
+			laneFault[l] = &f
+			m := zero.WithBit(l)
+			for _, e := range []*lanevec.Engine[lanevec.V1]{full, event} {
+				switch f.Type {
+				case faults.OutputSA:
+					e.OrOutOverride(f.Gate, zero, m)
+				case faults.InputSA:
+					e.AddPinOverride(f.Gate, f.Pin, m, f.Value == logic.One)
+				case faults.SlowRise:
+					e.OrDirOverride(f.Gate, m, zero)
+				case faults.SlowFall:
+					e.OrDirOverride(f.Gate, zero, m)
+				}
+			}
 		}
-		// Directional (transition-fault) overrides: one slow-to-rise and
-		// one slow-to-fall lane, possibly on a gate that is not
-		// self-dependent in the good circuit — the event queue must
-		// reach the same fixpoint without a self reader edge.
-		gk := rng.Intn(c.NumGates())
-		fm := zero.WithBit(rng.Intn(lanes))
-		rm := zero.WithBit(rng.Intn(lanes))
-		sweep.OrDirOverride(gk, fm, rm)
-		event.OrDirOverride(gk, fm, rm)
+		inject(perm[0], faults.Fault{Type: faults.OutputSA, Gate: rng.Intn(c.NumGates()), Value: logic.Zero})
+		if gj := rng.Intn(c.NumGates()); len(c.Gates[gj].Fanin) > 0 {
+			pin := rng.Intn(len(c.Gates[gj].Fanin))
+			inject(perm[1], faults.Fault{Type: faults.InputSA, Gate: gj, Pin: pin, Value: logic.One})
+		}
+		inject(perm[2], faults.Fault{Type: faults.SlowRise, Gate: rng.Intn(c.NumGates())})
+		inject(perm[3], faults.Fault{Type: faults.SlowFall, Gate: rng.Intn(c.NumGates())})
 
-		sweep.Reset()
+		scalar := make([]logic.Vec, lanes)
+		for l := range scalar {
+			scalar[l] = sim.Machine{C: c, Fault: laneFault[l]}.InitState()
+		}
+		full.Reset()
 		eventReset(event)
-		compareStates(t, seed, -1, sweep, event, lanes)
+		compareScalar(t, seed, -1, "Settle", full, scalar)
+		compareScalar(t, seed, -1, "event", event, scalar)
 
 		m := c.NumInputs()
 		for cyc := 0; cyc < cycles; cyc++ {
@@ -101,10 +127,12 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 						rails[i] = rails[i].WithBit(l)
 					}
 				}
+				scalar[l] = sim.Machine{C: c, Fault: laneFault[l]}.Step(scalar[l], pat)
 			}
-			sweep.ApplyRails(rails)
+			settleCycle(full, rails)
 			eventCycle(event, rails)
-			compareStates(t, seed, cyc, sweep, event, lanes)
+			compareScalar(t, seed, cyc, "Settle", full, scalar)
+			compareScalar(t, seed, cyc, "event", event, scalar)
 		}
 		if event.GateEvals() == 0 {
 			t.Fatalf("seed %d: event engine reported no gate evaluations", seed)
@@ -113,15 +141,14 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 	if tried == 0 {
 		t.Fatal("no random circuit generated; event settle parity exercised nothing")
 	}
-	t.Logf("event-vs-sweep settled %d random circuits", tried)
+	t.Logf("event settling matched the scalar machine on %d random circuits", tried)
 }
 
-func compareStates[V lanevec.Vec[V]](t *testing.T, seed int64, cyc int, a, b *lanevec.Engine[V], lanes int) {
+func compareScalar[V lanevec.Vec[V]](t *testing.T, seed int64, cyc int, name string, e *lanevec.Engine[V], want []logic.Vec) {
 	t.Helper()
-	for l := 0; l < lanes; l++ {
-		sa, sb := a.LaneState(l), b.LaneState(l)
-		if !sa.Equal(sb) {
-			t.Fatalf("seed %d cycle %d lane %d: sweep %s, event %s", seed, cyc, l, sa, sb)
+	for l, w := range want {
+		if got := e.LaneState(l); !got.Equal(w) {
+			t.Fatalf("seed %d cycle %d lane %d: %s engine %s, scalar %s", seed, cyc, l, name, got, w)
 		}
 	}
 }

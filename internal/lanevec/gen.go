@@ -1,6 +1,6 @@
 //go:build ignore
 
-// Command gen regenerates sweep_gen.go from the sweep template in
+// Command gen regenerates sweep_gen.go from the kernel template in
 // sweepgen.go.  Run via `go generate ./internal/lanevec`.
 package main
 

@@ -1,16 +1,16 @@
-// Package lanevec is the single bit-parallel ternary sweep core behind
-// every fault-simulation engine in the repository.
+// Package lanevec is the single bit-parallel ternary settling core
+// behind every fault-simulation engine in the repository.
 //
 // A lane vector packs one bit per simulated lane into a small fixed-size
 // array of machine words: V1 carries 64 lanes, V2 128, V4 256.  Each
 // signal of a circuit is encoded as two lane vectors — the "may be 1"
 // and "may be 0" possibility words of the ternary domain (both set
-// encodes Φ) — and the Eichelberger A/B Jacobi sweeps operate on whole
+// encodes Φ) — and Eichelberger's A/B settling operates on whole
 // vectors, so every gate evaluation answers all lanes at once.
 //
-// The package exposes exactly one settle/evalGate implementation,
-// generic over the vector width.  Both fault-injection orientations
-// instantiate it:
+// The package exposes exactly one settle/evalGate implementation, the
+// event-driven kernels of events.go, generic over the vector width.
+// Both fault-injection orientations instantiate it, and so does PODEM:
 //
 //   - fault-per-lane (sim.Parallel): each lane carries a different
 //     fault, injected as per-lane pin/output override masks;
@@ -18,16 +18,14 @@
 //     sequence and one fault is injected uniformly, i.e. with the
 //     all-lanes mask.
 //
-// The sweep semantics live in exactly one place: the template in
+// The settling semantics live in exactly one place: the template in
 // sweepgen.go.  The hot kernels (sweep_gen.go) are generated from it —
 // one per concrete width, fully unrolled — because Go's generics
 // dispatch method calls on type parameters through runtime
 // dictionaries without inlining, which measured ~2.5× slower on the
-// 64-lane sweep; the generated kernels keep the hot loop free of any
-// per-gate call overhead (BenchmarkFaultSimEngines holds the 64-lane
-// instantiation to the pre-unification throughput), and
-// TestGeneratedSweepInSync pins the generated code to the template so
-// the widths cannot drift apart.
+// 64-lane kernels; the generated kernels keep the hot loop free of any
+// per-gate call overhead, and TestGeneratedSweepInSync pins the
+// generated code to the template so the widths cannot drift apart.
 package lanevec
 
 import "math/bits"
@@ -50,7 +48,7 @@ const (
 
 // Vec is the constraint shared by all lane-vector widths.  It is a
 // closed union of the concrete array types plus the bitwise operations
-// the sweep core needs; the self-referential form (V Vec[V]) lets the
+// the settling core needs; the self-referential form (V Vec[V]) lets the
 // methods keep their concrete signatures, which is what allows the
 // compiler to stencil and inline them per width.
 type Vec[V any] interface {

@@ -126,6 +126,16 @@ func chain(t *testing.T) *netlist.Circuit {
 	return c
 }
 
+// applyRails drives the primary-input rails with per-lane values and
+// settles: one synchronous test cycle for all lanes at once.
+func applyRails[V Vec[V]](e *Engine[V], rails []V) {
+	for i := 0; i < e.c.NumInputs(); i++ {
+		w := rails[i].And(e.all)
+		e.p1[i], e.p0[i] = w, e.all.AndNot(w)
+	}
+	e.Settle()
+}
+
 // testEngineLanes checks, for one width, that lanes evolve
 // independently and that overrides inject stuck-at behaviour only in
 // their masked lanes.
@@ -142,7 +152,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	for l := 1; l < size; l += 2 {
 		odd = odd.WithBit(l)
 	}
-	e.ApplyRails([]V{odd})
+	applyRails(e, []V{odd})
 	yID, _ := c.SignalID("y")
 	d1, d0 := e.Definite(yID)
 	if !d1.Eq(odd) || !d0.Eq(e.All().AndNot(odd)) {
@@ -163,7 +173,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	last := zero.WithBit(size - 1)
 	e.ClearOverrides()
 	e.OrOutOverride(c.GateOf(yID), zero, last)
-	e.ApplyRails([]V{e.All()}) // A=1 everywhere: good y=1
+	applyRails(e, []V{e.All()}) // A=1 everywhere: good y=1
 	d1, _ = e.Definite(yID)
 	if d1.Has(size-1) || !d1.Has(0) {
 		t.Fatalf("output override leaked: d1=%v", d1.Words())
@@ -173,7 +183,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	e.ClearOverrides()
 	n1ID, _ := c.SignalID("n1")
 	e.AddPinOverride(c.GateOf(n1ID), 0, zero.WithBit(0), false)
-	e.ApplyRails([]V{e.All()})
+	applyRails(e, []V{e.All()})
 	d1, _ = e.Definite(yID)
 	if d1.Has(0) || !d1.Has(1) {
 		t.Fatalf("pin override wrong: d1=%v", d1.Words())
@@ -185,7 +195,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	e.ClearOverrides()
 	e.OrDirOverride(c.GateOf(yID), last, zero)
 	e.Reset()
-	e.ApplyRails([]V{e.All()}) // A=1: good y rises
+	applyRails(e, []V{e.All()}) // A=1: good y rises
 	d1, d0 = e.Definite(yID)
 	if d1.Has(size-1) || !d0.Has(size-1) || !d1.Has(0) {
 		t.Fatalf("slow-to-rise leaked: d1=%v d0=%v", d1.Words(), d0.Words())
@@ -196,9 +206,9 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	e.ClearOverrides()
 	e.OrDirOverride(c.GateOf(yID), zero, last)
 	e.Reset()
-	e.ApplyRails([]V{e.All()}) // rise everywhere (rising is allowed)
+	applyRails(e, []V{e.All()}) // rise everywhere (rising is allowed)
 	var none V
-	e.ApplyRails([]V{none}) // A=0: good y falls
+	applyRails(e, []V{none}) // A=0: good y falls
 	d1, d0 = e.Definite(yID)
 	if !d1.Has(size-1) || d0.Has(size-1) || d1.Has(0) {
 		t.Fatalf("slow-to-fall leaked: d1=%v d0=%v", d1.Words(), d0.Words())
@@ -206,7 +216,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 
 	// ClearOverrides restores the good machine.
 	e.ClearOverrides()
-	e.ApplyRails([]V{e.All()})
+	applyRails(e, []V{e.All()})
 	d1, _ = e.Definite(yID)
 	if !d1.Eq(e.All()) {
 		t.Fatalf("overrides not cleared: d1=%v", d1.Words())

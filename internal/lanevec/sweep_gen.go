@@ -10,9 +10,9 @@ import "repro/internal/netlist"
 
 // evalGate64 computes the possibility vectors of gate gi's function
 // across all 64 lanes — the pure path for gates with no override
-// (settle64 routes overridden gates to evalGateOv64), kept free
-// of any override bookkeeping so the fault-free bulk of every sweep
-// pays nothing for fault injection.
+// (runEvents64 routes overridden gates to evalGateOv64), kept
+// free of any override bookkeeping so the fault-free bulk of every
+// settle pays nothing for fault injection.
 func evalGate64(e *Engine[V1], gi int, p1, p0 []V1) (can1, can0 V1) {
 	g := &e.c.Gates[gi]
 	nf := len(g.Fanin)
@@ -124,90 +124,14 @@ func evalGateOv64(e *Engine[V1], gi int, p1, p0 []V1) (can1, can0 V1) {
 	return can1, can0
 }
 
-// settle64 runs parallel algorithm A (information-raising) then
-// parallel algorithm B (lowering), Jacobi sweeps, all 64 lanes at
-// once.  Each sweep walks the clean partition with the pure kernel and
-// the overridden partition with the override kernel — no per-gate
-// dispatch test; the sweeps are Jacobi (gates read p, write t), so the
-// partition order cannot change the settled state.
-func settle64(e *Engine[V1]) {
-	maxSweeps := 2*e.c.NumSignals() + 4
-	// Algorithm A.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm A did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate64(e, gi, e.p1, e.p0)
-			n1 := V1{e.p1[out][0] | e1[0]}
-			n0 := V1{e.p0[out][0] | e0[0]}
-			if n1[0] != e.t1[out][0] || n0[0] != e.t0[out][0] {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv64(e, gi, e.p1, e.p0)
-			n1 := V1{e.p1[out][0] | e1[0]}
-			n0 := V1{e.p0[out][0] | e0[0]}
-			if n1[0] != e.t1[out][0] || n0[0] != e.t0[out][0] {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-	// Algorithm B.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm B did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate64(e, gi, e.p1, e.p0)
-			if e1[0] != e.t1[out][0] || e0[0] != e.t0[out][0] {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv64(e, gi, e.p1, e.p0)
-			if e1[0] != e.t1[out][0] || e0[0] != e.t0[out][0] {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-}
-
 // runEvents64 drains the levelized event queue: pop the lowest
-// pending level, evaluate the gate (override partition dispatch), and
+// pending level, evaluate the gate (pure or override kernel), and
 // on any lane change write the output, accumulate the per-lane
 // activity mask and enqueue the admitted readers — feedback drops the
 // cursor back.  raise selects phase-A (OR into the output) semantics;
 // otherwise phase-B (assignment).  Both phases are chaotic iterations
-// of a monotone operator, so the drained fixpoint is bit-identical to
-// the corresponding Jacobi sweep (see events.go).
+// of a monotone operator, so the drained fixpoint does not depend on
+// the evaluation order (see events.go).
 func runEvents64(e *Engine[V1], raise bool) {
 	ev := e.ev
 	gm := ev.gateMask // multi-word gate admission bitset, hoisted
@@ -260,9 +184,9 @@ func runEvents64(e *Engine[V1], raise bool) {
 
 // evalGate128 computes the possibility vectors of gate gi's function
 // across all 128 lanes — the pure path for gates with no override
-// (settle128 routes overridden gates to evalGateOv128), kept free
-// of any override bookkeeping so the fault-free bulk of every sweep
-// pays nothing for fault injection.
+// (runEvents128 routes overridden gates to evalGateOv128), kept
+// free of any override bookkeeping so the fault-free bulk of every
+// settle pays nothing for fault injection.
 func evalGate128(e *Engine[V2], gi int, p1, p0 []V2) (can1, can0 V2) {
 	g := &e.c.Gates[gi]
 	nf := len(g.Fanin)
@@ -387,90 +311,14 @@ func evalGateOv128(e *Engine[V2], gi int, p1, p0 []V2) (can1, can0 V2) {
 	return can1, can0
 }
 
-// settle128 runs parallel algorithm A (information-raising) then
-// parallel algorithm B (lowering), Jacobi sweeps, all 128 lanes at
-// once.  Each sweep walks the clean partition with the pure kernel and
-// the overridden partition with the override kernel — no per-gate
-// dispatch test; the sweeps are Jacobi (gates read p, write t), so the
-// partition order cannot change the settled state.
-func settle128(e *Engine[V2]) {
-	maxSweeps := 2*e.c.NumSignals() + 4
-	// Algorithm A.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm A did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate128(e, gi, e.p1, e.p0)
-			n1 := V2{e.p1[out][0] | e1[0], e.p1[out][1] | e1[1]}
-			n0 := V2{e.p0[out][0] | e0[0], e.p0[out][1] | e0[1]}
-			if n1[0] != e.t1[out][0] || n1[1] != e.t1[out][1] || n0[0] != e.t0[out][0] || n0[1] != e.t0[out][1] {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv128(e, gi, e.p1, e.p0)
-			n1 := V2{e.p1[out][0] | e1[0], e.p1[out][1] | e1[1]}
-			n0 := V2{e.p0[out][0] | e0[0], e.p0[out][1] | e0[1]}
-			if n1[0] != e.t1[out][0] || n1[1] != e.t1[out][1] || n0[0] != e.t0[out][0] || n0[1] != e.t0[out][1] {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-	// Algorithm B.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm B did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate128(e, gi, e.p1, e.p0)
-			if e1[0] != e.t1[out][0] || e1[1] != e.t1[out][1] || e0[0] != e.t0[out][0] || e0[1] != e.t0[out][1] {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv128(e, gi, e.p1, e.p0)
-			if e1[0] != e.t1[out][0] || e1[1] != e.t1[out][1] || e0[0] != e.t0[out][0] || e0[1] != e.t0[out][1] {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-}
-
 // runEvents128 drains the levelized event queue: pop the lowest
-// pending level, evaluate the gate (override partition dispatch), and
+// pending level, evaluate the gate (pure or override kernel), and
 // on any lane change write the output, accumulate the per-lane
 // activity mask and enqueue the admitted readers — feedback drops the
 // cursor back.  raise selects phase-A (OR into the output) semantics;
 // otherwise phase-B (assignment).  Both phases are chaotic iterations
-// of a monotone operator, so the drained fixpoint is bit-identical to
-// the corresponding Jacobi sweep (see events.go).
+// of a monotone operator, so the drained fixpoint does not depend on
+// the evaluation order (see events.go).
 func runEvents128(e *Engine[V2], raise bool) {
 	ev := e.ev
 	gm := ev.gateMask // multi-word gate admission bitset, hoisted
@@ -526,9 +374,9 @@ func runEvents128(e *Engine[V2], raise bool) {
 
 // evalGate256 computes the possibility vectors of gate gi's function
 // across all 256 lanes — the pure path for gates with no override
-// (settle256 routes overridden gates to evalGateOv256), kept free
-// of any override bookkeeping so the fault-free bulk of every sweep
-// pays nothing for fault injection.
+// (runEvents256 routes overridden gates to evalGateOv256), kept
+// free of any override bookkeeping so the fault-free bulk of every
+// settle pays nothing for fault injection.
 func evalGate256(e *Engine[V4], gi int, p1, p0 []V4) (can1, can0 V4) {
 	g := &e.c.Gates[gi]
 	nf := len(g.Fanin)
@@ -679,90 +527,14 @@ func evalGateOv256(e *Engine[V4], gi int, p1, p0 []V4) (can1, can0 V4) {
 	return can1, can0
 }
 
-// settle256 runs parallel algorithm A (information-raising) then
-// parallel algorithm B (lowering), Jacobi sweeps, all 256 lanes at
-// once.  Each sweep walks the clean partition with the pure kernel and
-// the overridden partition with the override kernel — no per-gate
-// dispatch test; the sweeps are Jacobi (gates read p, write t), so the
-// partition order cannot change the settled state.
-func settle256(e *Engine[V4]) {
-	maxSweeps := 2*e.c.NumSignals() + 4
-	// Algorithm A.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm A did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate256(e, gi, e.p1, e.p0)
-			n1 := V4{e.p1[out][0] | e1[0], e.p1[out][1] | e1[1], e.p1[out][2] | e1[2], e.p1[out][3] | e1[3]}
-			n0 := V4{e.p0[out][0] | e0[0], e.p0[out][1] | e0[1], e.p0[out][2] | e0[2], e.p0[out][3] | e0[3]}
-			if n1[0] != e.t1[out][0] || n1[1] != e.t1[out][1] || n1[2] != e.t1[out][2] || n1[3] != e.t1[out][3] || n0[0] != e.t0[out][0] || n0[1] != e.t0[out][1] || n0[2] != e.t0[out][2] || n0[3] != e.t0[out][3] {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv256(e, gi, e.p1, e.p0)
-			n1 := V4{e.p1[out][0] | e1[0], e.p1[out][1] | e1[1], e.p1[out][2] | e1[2], e.p1[out][3] | e1[3]}
-			n0 := V4{e.p0[out][0] | e0[0], e.p0[out][1] | e0[1], e.p0[out][2] | e0[2], e.p0[out][3] | e0[3]}
-			if n1[0] != e.t1[out][0] || n1[1] != e.t1[out][1] || n1[2] != e.t1[out][2] || n1[3] != e.t1[out][3] || n0[0] != e.t0[out][0] || n0[1] != e.t0[out][1] || n0[2] != e.t0[out][2] || n0[3] != e.t0[out][3] {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-	// Algorithm B.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm B did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate256(e, gi, e.p1, e.p0)
-			if e1[0] != e.t1[out][0] || e1[1] != e.t1[out][1] || e1[2] != e.t1[out][2] || e1[3] != e.t1[out][3] || e0[0] != e.t0[out][0] || e0[1] != e.t0[out][1] || e0[2] != e.t0[out][2] || e0[3] != e.t0[out][3] {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv256(e, gi, e.p1, e.p0)
-			if e1[0] != e.t1[out][0] || e1[1] != e.t1[out][1] || e1[2] != e.t1[out][2] || e1[3] != e.t1[out][3] || e0[0] != e.t0[out][0] || e0[1] != e.t0[out][1] || e0[2] != e.t0[out][2] || e0[3] != e.t0[out][3] {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-}
-
 // runEvents256 drains the levelized event queue: pop the lowest
-// pending level, evaluate the gate (override partition dispatch), and
+// pending level, evaluate the gate (pure or override kernel), and
 // on any lane change write the output, accumulate the per-lane
 // activity mask and enqueue the admitted readers — feedback drops the
 // cursor back.  raise selects phase-A (OR into the output) semantics;
 // otherwise phase-B (assignment).  Both phases are chaotic iterations
-// of a monotone operator, so the drained fixpoint is bit-identical to
-// the corresponding Jacobi sweep (see events.go).
+// of a monotone operator, so the drained fixpoint does not depend on
+// the evaluation order (see events.go).
 func runEvents256(e *Engine[V4], raise bool) {
 	ev := e.ev
 	gm := ev.gateMask // multi-word gate admission bitset, hoisted

@@ -1,13 +1,14 @@
 package lanevec
 
-// The hot sweep kernels (evalGate + settle) must compile to straight,
-// fully-unrolled word operations: Go's generics implementation today
-// routes method calls on type parameters through runtime dictionaries
-// and does not inline them, which costs ~2.5× on the 64-lane sweep.
-// So the kernels are *generated* — once per width, from the single
-// template below — and the generic Engine dispatches to them with one
-// type switch per Settle call.  The template is the only place the
-// sweep semantics live; sweep_gen.go is emitted by `go generate`
+// The hot settling kernels (evalGate, evalGateOv and the event-queue
+// drain runEvents) must compile to straight, fully-unrolled word
+// operations: Go's generics implementation today routes method calls
+// on type parameters through runtime dictionaries and does not inline
+// them, which costs ~2.5× on the 64-lane kernels.  So the kernels are
+// *generated* — once per width, from the single template below — and
+// the generic Engine dispatches to them with one type switch per
+// phase run.  The template is the only place the settling semantics
+// live; sweep_gen.go is emitted by `go generate`
 // (gen.go) and TestGeneratedSweepInSync fails the build if it drifts,
 // which replaces the old "changes must be made in both files" comments
 // with an automated tripwire.
@@ -51,10 +52,6 @@ var sweepFuncs = template.FuncMap{
 	"eq": func(w sweepWidth, a, b string) string {
 		return perWord(w.N, " && ", func(k int) string { return fmt.Sprintf("%s[%d] == %s[%d]", a, k, b, k) })
 	},
-	// neq: "a[0] != b[0] || a[1] != b[1]".
-	"neq": func(w sweepWidth, a, b string) string {
-		return perWord(w.N, " || ", func(k int) string { return fmt.Sprintf("%s[%d] != %s[%d]", a, k, b, k) })
-	},
 	// orAssign: "a[0] |= b[0]; a[1] |= b[1]" (gofmt splits the lines).
 	"orAssign": func(w sweepWidth, a, b string) string {
 		return perWord(w.N, "; ", func(k int) string { return fmt.Sprintf("%s[%d] |= %s[%d]", a, k, b, k) })
@@ -73,12 +70,6 @@ var sweepFuncs = template.FuncMap{
 	// andNotAssign: "a[0] &^= b[0]; ...".
 	"andNotAssign": func(w sweepWidth, a, b string) string {
 		return perWord(w.N, "; ", func(k int) string { return fmt.Sprintf("%s[%d] &^= %s[%d]", a, k, b, k) })
-	},
-	// lit: `V2{a[0] | b[0], a[1] | b[1]}` — a fresh vector literal.
-	"lit": func(w sweepWidth, a, op, b string) string {
-		return w.Type + "{" + perWord(w.N, ", ", func(k int) string {
-			return fmt.Sprintf("%s[%d] %s %s[%d]", a, k, op, b, k)
-		}) + "}"
 	},
 	// outOverride: "v[0] = v[0]&^sub[0] | add[0]; ..." — the output
 	// stuck-at masks applied to a possibility vector.
@@ -108,7 +99,7 @@ var sweepFuncs = template.FuncMap{
 	},
 }
 
-// GenerateSweepSource renders the sweep kernels for every width and
+// GenerateSweepSource renders the settling kernels for every width and
 // returns the gofmt-ed source of sweep_gen.go.
 func GenerateSweepSource() ([]byte, error) {
 	tmpl, err := template.New("sweep").Funcs(sweepFuncs).Parse(sweepTemplate)
@@ -126,10 +117,12 @@ func GenerateSweepSource() ([]byte, error) {
 	return src, nil
 }
 
-// sweepTemplate is the single implementation of the ternary Jacobi
-// sweep: Eichelberger's algorithm A (information-raising) then B
-// (lowering) over lane-vector possibility words, with stuck-at faults
-// injected as pin/output override masks.  Every width is this text.
+// sweepTemplate is the single implementation of ternary gate
+// evaluation and event-driven settling: Eichelberger's algorithm A
+// (information-raising) then B (lowering) over lane-vector possibility
+// words, with stuck-at faults injected as pin/output override masks
+// and transition faults as directional masks.  Every width is this
+// text.
 const sweepTemplate = `// Code generated by sweepgen.go (go generate); DO NOT EDIT.
 //
 // One kernel per lane width, all rendered from the sweepTemplate in
@@ -143,9 +136,9 @@ import "repro/internal/netlist"
 {{range .}}
 // evalGate{{.Lanes}} computes the possibility vectors of gate gi's function
 // across all {{.Lanes}} lanes — the pure path for gates with no override
-// (settle{{.Lanes}} routes overridden gates to evalGateOv{{.Lanes}}), kept free
-// of any override bookkeeping so the fault-free bulk of every sweep
-// pays nothing for fault injection.
+// (runEvents{{.Lanes}} routes overridden gates to evalGateOv{{.Lanes}}), kept
+// free of any override bookkeeping so the fault-free bulk of every
+// settle pays nothing for fault injection.
 func evalGate{{.Lanes}}(e *Engine[{{.Type}}], gi int, p1, p0 []{{.Type}}) (can1, can0 {{.Type}}) {
 	g := &e.c.Gates[gi]
 	nf := len(g.Fanin)
@@ -257,90 +250,14 @@ func evalGateOv{{.Lanes}}(e *Engine[{{.Type}}], gi int, p1, p0 []{{.Type}}) (can
 	return can1, can0
 }
 
-// settle{{.Lanes}} runs parallel algorithm A (information-raising) then
-// parallel algorithm B (lowering), Jacobi sweeps, all {{.Lanes}} lanes at
-// once.  Each sweep walks the clean partition with the pure kernel and
-// the overridden partition with the override kernel — no per-gate
-// dispatch test; the sweeps are Jacobi (gates read p, write t), so the
-// partition order cannot change the settled state.
-func settle{{.Lanes}}(e *Engine[{{.Type}}]) {
-	maxSweeps := 2*e.c.NumSignals() + 4
-	// Algorithm A.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm A did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate{{.Lanes}}(e, gi, e.p1, e.p0)
-			n1 := {{lit . "e.p1[out]" "|" "e1"}}
-			n0 := {{lit . "e.p0[out]" "|" "e0"}}
-			if {{neq . "n1" "e.t1[out]"}} || {{neq . "n0" "e.t0[out]"}} {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv{{.Lanes}}(e, gi, e.p1, e.p0)
-			n1 := {{lit . "e.p1[out]" "|" "e1"}}
-			n0 := {{lit . "e.p0[out]" "|" "e0"}}
-			if {{neq . "n1" "e.t1[out]"}} || {{neq . "n0" "e.t0[out]"}} {
-				e.t1[out], e.t0[out] = n1, n0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-	// Algorithm B.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic("lanevec: parallel algorithm B did not converge")
-		}
-		copy(e.t1, e.p1)
-		copy(e.t0, e.p0)
-		changed := false
-		for _, gi := range e.clean {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGate{{.Lanes}}(e, gi, e.p1, e.p0)
-			if {{neq . "e1" "e.t1[out]"}} || {{neq . "e0" "e.t0[out]"}} {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		for _, gi := range e.dirty {
-			out := e.c.Gates[gi].Out
-			e1, e0 := evalGateOv{{.Lanes}}(e, gi, e.p1, e.p0)
-			if {{neq . "e1" "e.t1[out]"}} || {{neq . "e0" "e.t0[out]"}} {
-				e.t1[out], e.t0[out] = e1, e0
-				changed = true
-			}
-		}
-		e.evals += int64(e.c.NumGates())
-		e.p1, e.t1 = e.t1, e.p1
-		e.p0, e.t0 = e.t0, e.p0
-		if !changed {
-			break
-		}
-	}
-}
-
 // runEvents{{.Lanes}} drains the levelized event queue: pop the lowest
-// pending level, evaluate the gate (override partition dispatch), and
+// pending level, evaluate the gate (pure or override kernel), and
 // on any lane change write the output, accumulate the per-lane
 // activity mask and enqueue the admitted readers — feedback drops the
 // cursor back.  raise selects phase-A (OR into the output) semantics;
 // otherwise phase-B (assignment).  Both phases are chaotic iterations
-// of a monotone operator, so the drained fixpoint is bit-identical to
-// the corresponding Jacobi sweep (see events.go).
+// of a monotone operator, so the drained fixpoint does not depend on
+// the evaluation order (see events.go).
 func runEvents{{.Lanes}}(e *Engine[{{.Type}}], raise bool) {
 	ev := e.ev
 	gm := ev.gateMask // multi-word gate admission bitset, hoisted

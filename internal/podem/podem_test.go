@@ -177,21 +177,19 @@ func TestOrderTargets(t *testing.T) {
 	}
 }
 
-// The event-kernel settle sequence used by the group search must agree
-// with the sweep-path ApplyRailsX on arbitrary ternary rails — the
-// implication engine and its differential oracle.
-func TestEventSettleMatchesApplyRailsX(t *testing.T) {
+// The event-kernel settle sequence used by the group search must agree,
+// lane by lane, with the scalar ternary settle (sim.SettleTernary) from
+// the same ternary state on arbitrary ternary rails — the implication
+// engine and its reference oracle.
+func TestEventSettleMatchesSettleTernary(t *testing.T) {
 	c := mustLookup(t, "fig1a")
 	topo := c.Topology()
 	ev := lanevec.NewEngine[lanevec.V1](c)
 	all := lanevec.V1{}.FirstN(lanevec.Lanes1)
 	ev.SetAll(all)
 	ev.InitEvents(topo)
-	sw := lanevec.NewEngine[lanevec.V1](c)
-	sw.SetAll(all)
 
 	ev.Reset()
-	sw.Reset()
 	n := c.NumSignals()
 	s1 := make([]lanevec.V1, n)
 	s0 := make([]lanevec.V1, n)
@@ -212,19 +210,21 @@ func TestEventSettleMatchesApplyRailsX(t *testing.T) {
 		for i := range r1 {
 			ev.MarkSignal(netlist.SigID(i), r1[i], r0[i])
 		}
+		// The scalar starting state of each lane: the previous fixpoint
+		// with this round's (possibly X) rails.
+		start := make([]logic.Vec, lanevec.Lanes1)
+		for l := range start {
+			start[l] = ev.LaneState(l)
+		}
 		ev.SeedFromActivity()
 		ev.RunRaise()
 		ev.SeedFromActivity()
 		ev.RunLower()
 
-		sw.LoadState(s1, s0)
-		sw.ApplyRailsX(r1, r0)
-
-		for s := 0; s < n; s++ {
-			e1, e0 := ev.Definite(netlist.SigID(s))
-			w1, w0 := sw.Definite(netlist.SigID(s))
-			if e1 != w1 || e0 != w0 {
-				t.Fatalf("round %d signal %d: event (%#x,%#x) vs sweep (%#x,%#x)", round, s, e1, e0, w1, w0)
+		for l, st := range start {
+			want := sim.SettleTernary(c, st, nil).State
+			if got := ev.LaneState(l); !got.Equal(want) {
+				t.Fatalf("round %d lane %d: event %s, scalar %s", round, l, got, want)
 			}
 		}
 		ev.CopyState(s1, s0) // next round starts from this fixpoint

@@ -256,10 +256,6 @@ func (s *Server) dispatchShard(ctx context.Context, peerURL string, shard, shard
 // the coordinator computing a shard itself yields exactly the verdicts
 // the assigned worker would have.
 func (s *Server) localShard(ctx context.Context, c *netlist.Circuit, universe []faults.Fault, req *CoverageRequest, shard, shards int) (*atpg.CoverageReport, error) {
-	engine, err := resolveEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = s.cfg.Workers
@@ -269,7 +265,7 @@ func (s *Server) localShard(ctx context.Context, c *netlist.Circuit, universe []
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
 	return atpg.CoverageOfCtx(ctx, c, universe, tests, atpg.CoverageOptions{
-		Workers: workers, Lanes: req.Lanes, Engine: engine,
+		Workers: workers, Lanes: req.Lanes,
 		Shard: shard, Shards: shards,
 	})
 }

@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/resultstore"
 )
 
 // White-box checks of the failover plumbing: the default peer client,
@@ -130,5 +135,71 @@ func TestSleepBackoff(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("cancelled backoff still slept")
+	}
+}
+
+// TestVerdictVersionBumpMisses: a stored answer is replayed only under
+// the verdict version that produced it.  After a bump the same query
+// misses and re-simulates, and the compaction key moves too.
+func TestVerdictVersionBumpMisses(t *testing.T) {
+	store, err := resultstore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s := New(Config{Store: store, ProbeInterval: -1})
+	defer s.Close()
+	const ckt = `
+circuit demo
+input A B
+output y
+gate na NOT A
+gate c C na B
+gate y OR c B
+init A=0 B=0 na=1 c=1 y=1
+`
+	req := &CoverageRequest{CircuitText: ckt, Tests: []TestJSON{{Patterns: []uint64{1, 3, 0, 2}}}}
+	query := func() *CoverageResponse {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/coverage", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("coverage = %d %s", rec.Code, rec.Body.String())
+		}
+		var resp CoverageResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return &resp
+	}
+	if query().FromStore {
+		t.Fatal("first query claims to come from the store")
+	}
+	if !query().FromStore {
+		t.Fatal("repeated query under the same verdict version was not replayed")
+	}
+
+	cmp := &CompactRequest{CircuitText: ckt, Programs: []ProgramJSON{{Patterns: []uint64{1}, Expected: []uint64{1}}}}
+	covBefore, cmpBefore := coverageKey("id", req), compactKey("id", cmp)
+	saved := verdictVersion
+	verdictVersion = saved + "-bumped"
+	defer func() { verdictVersion = saved }()
+
+	if coverageKey("id", req) == covBefore || compactKey("id", cmp) == cmpBefore {
+		t.Fatal("bumping the verdict version left a result-store key unchanged")
+	}
+	misses := s.metrics.StoreMisses.Load()
+	if query().FromStore {
+		t.Fatal("a bumped verdict version replayed the old stored answer")
+	}
+	if s.metrics.StoreMisses.Load() != misses+1 {
+		t.Fatal("the post-bump query did not count a store miss")
+	}
+	if !query().FromStore {
+		t.Fatal("the re-simulated answer was not stored under the new version")
 	}
 }

@@ -17,10 +17,19 @@ import (
 // a directory (`satpgd -store DIR`).
 //
 // Scheduling knobs (workers, streaming) stay out of the key: they
-// change how fast the answer arrives, never what it is.  Engine, lane
-// width and shard restriction are hashed even though the engines are
+// change how fast the answer arrives, never what it is.  Lane width and
+// shard restriction are hashed even though the verdicts are
 // parity-pinned across them — a cache must never be the thing that
-// papers over a parity bug.
+// papers over a parity bug.  Every key also carries verdictVersion, so
+// a store written by a binary with different verdict semantics is
+// never replayed.
+
+// verdictVersion names the verdict semantics of the fault simulator
+// and compactor behind the stored responses.  Bump it with any change
+// that can alter a coverage verdict or a compaction: every key then
+// changes, and a persisted store's old answers become misses instead
+// of being replayed.
+var verdictVersion = "v1" // a var only so tests can bump it
 
 // canon substitutes a keyword's documented default for the empty
 // string so "", "input" and explicit defaults share a key.
@@ -57,7 +66,7 @@ func coverageKey(circuitID string, req *CoverageRequest) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00",
 		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
-		canon(req.Engine, "event"), lanes, req.Shard, req.Shards)
+		verdictVersion, lanes, req.Shard, req.Shards)
 	for _, t := range req.Tests {
 		hashWords(h, t.Patterns)
 		hashWords(h, t.Expected)
@@ -75,7 +84,7 @@ func compactKey(circuitID string, req *CompactRequest) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00%s\x00%d\x00%s\x00",
 		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
-		canon(req.Engine, "event"), lanes, canon(req.Mode, "all"))
+		verdictVersion, lanes, canon(req.Mode, "all"))
 	var b [8]byte
 	for _, p := range req.Programs {
 		hashWords(h, p.Patterns)

@@ -179,10 +179,10 @@ type Server struct {
 // New builds a Server.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg,
-		circuits: NewCircuitStore(cfg.CircuitCap),
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
+		cfg:       cfg,
+		circuits:  NewCircuitStore(cfg.CircuitCap),
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
 		stopProbe: make(chan struct{}),
 	}
 	s.defClient = &http.Client{Timeout: s.shardTimeout() + 30*time.Second}
@@ -314,7 +314,6 @@ type CoverageRequest struct {
 
 	Model   string     `json:"model,omitempty"`   // input (default) | output
 	Faults  string     `json:"faults,omitempty"`  // sa (default) | transition | both
-	Engine  string     `json:"engine,omitempty"`  // event (default) | sweep
 	Lanes   int        `json:"lanes,omitempty"`   // 64 (default) | 128 | 256
 	Workers int        `json:"workers,omitempty"` // 0: server default
 	Tests   []TestJSON `json:"tests"`
@@ -358,10 +357,9 @@ type CoverageResponse struct {
 	Classes   int           `json:"classes"`
 	Lanes     int           `json:"lanes"`
 	Workers   int           `json:"workers"`
-	Engine    string        `json:"engine"`
 	Shard     int           `json:"shard,omitempty"`
 	Shards    int           `json:"shards,omitempty"`
-	Owned     []uint64      `json:"owned,omitempty"` // bitmask words, fault i at bit i%64 of word i/64
+	Owned     []uint64      `json:"owned,omitempty"`      // bitmask words, fault i at bit i%64 of word i/64
 	FromStore bool          `json:"from_store,omitempty"` // replayed from the result store, no simulation ran
 	PerFault  []VerdictJSON `json:"per_fault"`
 	Patterns  int64         `json:"patterns"`
@@ -409,20 +407,22 @@ func resolveUniverse(c *netlist.Circuit, model, sel string) ([]faults.Fault, err
 	return faults.SelectUniverse(c, fm, fs), nil
 }
 
-func resolveEngine(s string) (fsim.EngineKind, error) {
-	switch s {
-	case "", "event":
-		return fsim.EngineEvent, nil
-	case "sweep":
-		return fsim.EngineSweep, nil
+// decodeRequest decodes a request body into req, rejecting keys the
+// request struct does not declare: a misspelt or retired option (such
+// as the old "engine") must fail loudly, not be silently ignored.
+func decodeRequest(r *http.Request, req any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
 	}
-	return 0, fmt.Errorf("unknown engine %q (want event or sweep)", s)
+	return nil
 }
 
 func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	var req CoverageRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := decodeRequest(r, &req); err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	coordinating := len(s.cfg.Peers) > 0 && !req.Local && req.Shards == 0
@@ -440,11 +440,6 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	universe, err := resolveUniverse(c, req.Model, req.Faults)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	engine, err := resolveEngine(req.Engine)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -491,7 +486,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
 	opts := atpg.CoverageOptions{
-		Workers: workers, Lanes: req.Lanes, Engine: engine,
+		Workers: workers, Lanes: req.Lanes,
 		Shard: req.Shard, Shards: req.Shards,
 	}
 
@@ -559,8 +554,7 @@ func coverageResponse(circuitID string, rep *atpg.CoverageReport) *CoverageRespo
 		Kind: "report", CircuitID: circuitID,
 		Total: rep.Total, Detected: rep.Detected, Coverage: rep.Coverage(),
 		Classes: rep.Classes, Lanes: rep.Lanes, Workers: rep.Workers,
-		Engine: rep.Engine.String(),
-		Shard:  rep.Shard, Shards: rep.Shards,
+		Shard: rep.Shard, Shards: rep.Shards,
 		PerFault:  make([]VerdictJSON, len(rep.PerFault)),
 		Patterns:  rep.Stats.Patterns,
 		GateEvals: rep.Stats.GateEvals,
@@ -602,9 +596,6 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 		},
 		Elapsed: time.Duration(resp.ElapsedNS),
 	}
-	if resp.Engine == "sweep" {
-		rep.Engine = fsim.EngineSweep
-	}
 	for i, v := range resp.PerFault {
 		rep.PerFault[i] = atpg.FaultCoverage{
 			Fault: universe[i], Detected: v.Detected, TestIndex: v.Test, Cycle: v.Cycle,
@@ -627,7 +618,6 @@ type GenerateRequest struct {
 
 	Model   string `json:"model,omitempty"`   // input (default) | output
 	Faults  string `json:"faults,omitempty"`  // sa (default) | transition | both
-	Engine  string `json:"engine,omitempty"`  // event (default) | sweep
 	Lanes   int    `json:"lanes,omitempty"`   // 64 (default) | 128 | 256
 	Workers int    `json:"workers,omitempty"` // 0: server default
 	Flow    string `json:"flow,omitempty"`    // auto (default) | cssg | direct
@@ -668,8 +658,8 @@ type GenerateResponse struct {
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := decodeRequest(r, &req); err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	id, c, err := s.resolveCircuit(req.Circuit, req.CircuitText)
@@ -693,11 +683,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusBadRequest, fmt.Errorf("unknown faults %q (want sa, transition or both)", req.Faults))
 			return
 		}
-	}
-	engine, err := resolveEngine(req.Engine)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
 	}
 	useDirect := false
 	switch req.Flow {
@@ -723,7 +708,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	opts := atpg.Options{
 		Seed:            req.Seed,
 		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
-		FaultSimWorkers: workers, FaultSimLanes: req.Lanes, FaultSimEngine: engine,
+		FaultSimWorkers: workers, FaultSimLanes: req.Lanes,
 		SkipPodem: req.SkipPodem, PodemBudget: req.PodemBudget, PodemCycles: req.PodemCycles,
 	}
 	universe := faults.SelectUniverse(c, fm, sel)
@@ -784,7 +769,6 @@ type CompactRequest struct {
 	CircuitText string        `json:"circuit_text,omitempty"`
 	Model       string        `json:"model,omitempty"`
 	Faults      string        `json:"faults,omitempty"`
-	Engine      string        `json:"engine,omitempty"`
 	Lanes       int           `json:"lanes,omitempty"`
 	Workers     int           `json:"workers,omitempty"`
 	Mode        string        `json:"mode,omitempty"` // none | reverse | dominance | greedy | all (default)
@@ -799,15 +783,15 @@ type CompactResponse struct {
 	After     int           `json:"after"`
 	Kept      []int         `json:"kept"`
 	Programs  []ProgramJSON `json:"programs"`
-	Detected  int           `json:"detected"` // fault classes the program covers (preserved exactly)
+	Detected  int           `json:"detected"`             // fault classes the program covers (preserved exactly)
 	FromStore bool          `json:"from_store,omitempty"` // replayed from the result store
 	ElapsedNS int64         `json:"elapsed_ns"`
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	var req CompactRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := decodeRequest(r, &req); err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	id, c, err := s.resolveCircuit(req.Circuit, req.CircuitText)
@@ -816,11 +800,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	universe, err := resolveUniverse(c, req.Model, req.Faults)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	engine, err := resolveEngine(req.Engine)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -855,7 +834,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		progs[i] = tester.Program{Patterns: p.Patterns, Expected: p.Expected, ResetExpected: p.ResetExpected}
 	}
 	start := time.Now()
-	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers, Lanes: req.Lanes, Engine: engine})
+	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers, Lanes: req.Lanes})
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, err)
 		return

@@ -323,12 +323,45 @@ func TestRequestValidation(t *testing.T) {
 		{service.CoverageRequest{Tests: tests}, "circuit or circuit_text is required"},
 		{service.CoverageRequest{CircuitText: text, Model: "both", Tests: tests}, "input or output"},
 		{service.CoverageRequest{CircuitText: text, Faults: "stuckat", Tests: tests}, "sa, transition or both"},
-		{service.CoverageRequest{CircuitText: text, Engine: "jacobi", Tests: tests}, "event or sweep"},
 		{service.CoverageRequest{CircuitText: text, Lanes: 96, Tests: tests}, "64, 128 or 256"},
 	} {
 		rec := postJSON(t, srv, "/v1/coverage", &tc.req)
 		if rec.Code == http.StatusOK || !strings.Contains(rec.Body.String(), tc.want) {
 			t.Fatalf("request %+v = %d %s; want rejection containing %q", tc.req, rec.Code, rec.Body.String(), tc.want)
+		}
+	}
+}
+
+// TestRequestsRejectUnknownFields: every request body is decoded
+// strictly, so a retired option (the old "engine" key) or a misspelt
+// one gets a 400 naming the field instead of being silently ignored.
+func TestRequestsRejectUnknownFields(t *testing.T) {
+	text, _ := loadISCAS(t, "s27")
+	srv := service.New(service.Config{})
+	circuit, err := json.Marshal(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, body, field string
+	}{
+		{"/v1/coverage", `{"circuit_text": ` + string(circuit) + `, "engine": "event", "tests": []}`, "engine"},
+		{"/v1/coverage", `{"circuit_text": ` + string(circuit) + `, "lane": 64, "tests": []}`, "lane"},
+		{"/v1/generate", `{"circuit_text": ` + string(circuit) + `, "engine": "sweep"}`, "engine"},
+		{"/v1/generate", `{"circuit_text": ` + string(circuit) + `, "skip_podems": true}`, "skip_podems"},
+		{"/v1/compact", `{"circuit_text": ` + string(circuit) + `, "engine": "event", "programs": []}`, "engine"},
+		{"/v1/compact", `{"circuit_text": ` + string(circuit) + `, "mdoe": "all", "programs": []}`, "mdoe"},
+	} {
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		var e struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s with %q: undecodable error body %q: %v", tc.path, tc.field, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "`+tc.field+`"`) {
+			t.Fatalf("%s with %q = %d %s; want 400 naming the field", tc.path, tc.field, rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -21,10 +21,11 @@ const Lanes = lanevec.Lanes1
 // faults ride per-lane directional masks, so one batch may mix both
 // models freely.
 //
-// The sweep core is lanevec.Engine — the same generic settle/evalGate
-// the pattern-parallel fsim engine instantiates; only the fault
-// injection differs (per-lane override masks here, an all-lane mask
-// there).
+// The settling core is lanevec.Engine — the same generated gate
+// evaluators and event kernels the pattern-parallel fsim engine
+// instantiates; only the fault injection differs (per-lane override
+// masks here, an all-lane mask there).  Each Reset and Apply is a
+// full-circuit event settle (Engine.Settle).
 type Parallel struct {
 	eng *lanevec.Engine[lanevec.V1]
 	fl  []faults.Fault

@@ -55,9 +55,9 @@ func (s CoverageSummary) VerdictsEqual(o CoverageSummary) bool {
 // compares — under every delay assignment; the same promise MonteCarlo
 // spot-checks on the timed model, established here exhaustively on the
 // untimed one.
-func MeasureCoverage(c *netlist.Circuit, progs []Program, universe []faults.Fault, workers, lanes int, engine fsim.EngineKind) (CoverageSummary, error) {
+func MeasureCoverage(c *netlist.Circuit, progs []Program, universe []faults.Fault, workers, lanes int) (CoverageSummary, error) {
 	start := time.Now()
-	sim, err := fsim.New(c, universe, fsim.Options{Workers: workers, Lanes: lanes, Engine: engine, CheckReset: true})
+	sim, err := fsim.New(c, universe, fsim.Options{Workers: workers, Lanes: lanes, CheckReset: true})
 	if err != nil {
 		return CoverageSummary{}, err
 	}

@@ -12,9 +12,9 @@ import (
 
 // The multi-word differential suite: circuits past the 64-signal
 // single-word ceiling must behave bit-identically to the scalar ternary
-// oracle, across both fault-simulation engines and every lane width,
-// and a ≤64-signal circuit pushed through the multi-word paths (via
-// SetMinStateWords) must reproduce its single-word verdicts exactly.
+// oracle at every lane width, and a ≤64-signal circuit pushed through
+// the multi-word paths (via SetMinStateWords) must reproduce its
+// single-word verdicts exactly.
 
 func loadCorpus(t *testing.T, name string) *Circuit {
 	t.Helper()
@@ -74,34 +74,51 @@ func scalarOracleDetects(c *Circuit, f Fault, tests []Test) bool {
 	return false
 }
 
-// crossEngineCompare measures the tests under both engines at one lane
-// width and requires identical per-fault verdicts; it returns the event
-// engine's report for further checking.
-func crossEngineCompare(t *testing.T, c *Circuit, model FaultModel, tests []Test, lanes int) *CoverageReport {
+// corpusScalarStride samples the scalar-oracle check on the ISCAS
+// corpus: a full replay of a test set costs about 90 ms per fault on
+// s953, so one fault in 64 is checked.
+const corpusScalarStride = 64
+
+// crossWidthCompare measures the tests at every lane width in widths
+// and requires per-fault verdicts (detected, first test, first cycle)
+// identical to the first width's; every stride-th fault's verdict must
+// also match a full replay on the scalar oracle.
+func crossWidthCompare(t *testing.T, c *Circuit, model FaultModel, tests []Test, opts Options, widths []int, stride int) {
 	t.Helper()
-	ev, err := FaultSimBatch(c, model, tests, Options{FaultSimLanes: lanes, FaultSimEngine: EventEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := FaultSimBatch(c, model, tests, Options{FaultSimLanes: lanes, FaultSimEngine: SweepEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi := range ev.PerFault {
-		e, s := ev.PerFault[fi], sw.PerFault[fi]
-		if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
-			t.Errorf("%s lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
-				c.Name, lanes, e.Fault.Describe(c),
-				e.Detected, e.TestIndex, e.Cycle, s.Detected, s.TestIndex, s.Cycle)
+	var ref *CoverageReport
+	for _, lanes := range widths {
+		opts.FaultSimLanes = lanes
+		rep, err := FaultSimBatch(c, model, tests, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = rep
+			continue
+		}
+		for fi := range rep.PerFault {
+			a, b := ref.PerFault[fi], rep.PerFault[fi]
+			if a.Detected != b.Detected || a.TestIndex != b.TestIndex || a.Cycle != b.Cycle {
+				t.Errorf("%s %v lanes=%d fault %s: {det=%v test=%d cyc=%d}, %d lanes {det=%v test=%d cyc=%d}",
+					c.Name, model, lanes, b.Fault.Describe(c), b.Detected, b.TestIndex, b.Cycle,
+					widths[0], a.Detected, a.TestIndex, a.Cycle)
+			}
 		}
 	}
-	return ev
+	for fi := 0; fi < len(ref.PerFault); fi += stride {
+		fc := ref.PerFault[fi]
+		if got := scalarOracleDetects(c, fc.Fault, tests); got != fc.Detected {
+			t.Errorf("%s %v fault %s: fsim det=%v, scalar oracle det=%v",
+				c.Name, model, fc.Fault.Describe(c), fc.Detected, got)
+		}
+	}
 }
 
 // TestDirectFlowOracleOnCorpus runs the direct flow on the corpus and
 // checks (a) every kept test and credited detection replays on the
-// scalar oracle, (b) event and sweep engines agree verdict for verdict
-// at every lane width on the generated tests.
+// scalar oracle, (b) every lane width agrees verdict for verdict on the
+// generated tests, and a sample of those verdicts matches the scalar
+// oracle.
 func TestDirectFlowOracleOnCorpus(t *testing.T) {
 	files := []string{"s27.ckt", "s349.ckt"}
 	if !testing.Short() {
@@ -123,20 +140,14 @@ func TestDirectFlowOracleOnCorpus(t *testing.T) {
 		if err := ValidateDirect(c, res); err != nil {
 			t.Errorf("%s: %v", file, err)
 		}
-		lanes := []int{64, 128, 256}
-		if file == "s953.ckt" {
-			lanes = []int{256}
-		}
-		for _, lw := range lanes {
-			crossEngineCompare(t, c, InputStuckAt, res.Tests, lw)
-		}
+		crossWidthCompare(t, c, InputStuckAt, res.Tests, Options{}, []int{64, 128, 256}, corpusScalarStride)
 	}
 }
 
 // TestMultiWordEnginesMatchScalarOracle cross-validates the multi-word
-// engines on random feedback circuits at 65–300 signals: both engines
-// at every lane width must agree with each other on every fault, and
-// with the scalar ternary machine on a sampled subset.
+// engine on random feedback circuits at 65–300 signals: every lane
+// width must agree with the others on every fault, and with the scalar
+// ternary machine on a sampled subset.
 func TestMultiWordEnginesMatchScalarOracle(t *testing.T) {
 	type band struct{ minGates, maxGates int }
 	bands := []band{{70, 90}, {120, 150}, {260, 290}}
@@ -161,26 +172,17 @@ func TestMultiWordEnginesMatchScalarOracle(t *testing.T) {
 		}
 		t.Logf("band %d: %s, %d signals (%d words), %d tests, cov %d/%d",
 			bi, c.Name, c.NumSignals(), c.StateWords(), len(res.Tests), res.Covered, res.Total)
-		var rep *CoverageReport
-		for _, lw := range []int{64, 128, 256} {
-			rep = crossEngineCompare(t, c, InputStuckAt, res.Tests, lw)
-		}
 		// Scalar spot-check: every 7th fault's verdict must match a full
 		// replay on the ternary machine.
-		for fi := 0; fi < len(rep.PerFault); fi += 7 {
-			fc := rep.PerFault[fi]
-			if got := scalarOracleDetects(c, fc.Fault, res.Tests); got != fc.Detected {
-				t.Errorf("band %d fault %s: fsim det=%v, scalar oracle det=%v",
-					bi, fc.Fault.Describe(c), fc.Detected, got)
-			}
-		}
+		crossWidthCompare(t, c, InputStuckAt, res.Tests, Options{}, []int{64, 128, 256}, 7)
 	}
 }
 
 // TestSingleVsMultiWordBitEquality pushes the Table-1 suite through the
 // multi-word engine paths (SetMinStateWords forces two state words on
 // circuits that fit one) and requires verdicts bit-identical to the
-// single-word fast path, for both fault models and both engines.
+// single-word fast path, for both fault models; a sample of the
+// verdicts must also match the scalar oracle.
 func TestSingleVsMultiWordBitEquality(t *testing.T) {
 	suite := SpeedIndependentSuite()
 	if testing.Short() {
@@ -194,22 +196,27 @@ func TestSingleVsMultiWordBitEquality(t *testing.T) {
 		forced := bm.Circuit.Clone()
 		forced.SetMinStateWords(2)
 		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
-			for _, engine := range []FaultSimEngine{EventEngine, SweepEngine} {
-				one, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimEngine: engine})
-				if err != nil {
-					t.Fatalf("%s: %v", bm.Name, err)
+			one, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", bm.Name, err)
+			}
+			two, err := FaultSimBatch(forced, model, res.Tests, Options{})
+			if err != nil {
+				t.Fatalf("%s forced: %v", bm.Name, err)
+			}
+			for fi := range one.PerFault {
+				a, b := one.PerFault[fi], two.PerFault[fi]
+				if a.Detected != b.Detected || a.TestIndex != b.TestIndex || a.Cycle != b.Cycle {
+					t.Errorf("%s %v fault %s: 1-word {det=%v test=%d cyc=%d} 2-word {det=%v test=%d cyc=%d}",
+						bm.Name, model, a.Fault.Describe(bm.Circuit),
+						a.Detected, a.TestIndex, a.Cycle, b.Detected, b.TestIndex, b.Cycle)
 				}
-				two, err := FaultSimBatch(forced, model, res.Tests, Options{FaultSimEngine: engine})
-				if err != nil {
-					t.Fatalf("%s forced: %v", bm.Name, err)
-				}
-				for fi := range one.PerFault {
-					a, b := one.PerFault[fi], two.PerFault[fi]
-					if a.Detected != b.Detected || a.TestIndex != b.TestIndex || a.Cycle != b.Cycle {
-						t.Errorf("%s %v %v fault %s: 1-word {det=%v test=%d cyc=%d} 2-word {det=%v test=%d cyc=%d}",
-							bm.Name, model, engine, a.Fault.Describe(bm.Circuit),
-							a.Detected, a.TestIndex, a.Cycle, b.Detected, b.TestIndex, b.Cycle)
-					}
+			}
+			for fi := 0; fi < len(two.PerFault); fi += suiteScalarStride {
+				fc := two.PerFault[fi]
+				if got := scalarOracleDetects(forced, fc.Fault, res.Tests); got != fc.Detected {
+					t.Errorf("%s %v fault %s: 2-word det=%v, scalar oracle det=%v",
+						bm.Name, model, fc.Fault.Describe(bm.Circuit), fc.Detected, got)
 				}
 			}
 		}

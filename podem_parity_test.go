@@ -277,7 +277,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"negative workers", Options{FaultSimWorkers: -1}},
 		{"bad lane width", Options{FaultSimLanes: 96}},
-		{"unknown engine", Options{FaultSimEngine: 7}},
 		{"unknown flow", Options{Flow: Flow(9)}},
 		{"negative K", Options{K: -1}},
 		{"negative podem budget", Options{PodemBudget: -5}},

@@ -93,8 +93,6 @@ type (
 	FaultCoverage = atpg.FaultCoverage
 	// ProgramCoverageSummary is the tester-side coverage measurement.
 	ProgramCoverageSummary = tester.CoverageSummary
-	// FaultSimEngine selects the fault-simulation settling strategy.
-	FaultSimEngine = fsim.EngineKind
 	// FaultSimStats reports fault-simulation work counters.
 	FaultSimStats = fsim.Stats
 	// FaultSelection picks which fault universes a flow targets: the
@@ -119,15 +117,6 @@ const (
 	// MaxSignals is the absolute circuit-size ceiling of the multi-word
 	// packed-state engines.
 	MaxSignals = netlist.MaxSignals
-)
-
-// Fault-simulation engines.  EventEngine (the default) re-simulates
-// only each fault's fanout cone against the cached good trace;
-// SweepEngine settles the whole circuit with full Jacobi sweeps and is
-// kept as the differential oracle.  Detected sets are bit-identical.
-const (
-	EventEngine = fsim.EngineEvent
-	SweepEngine = fsim.EngineSweep
 )
 
 // Test-point kinds.
@@ -199,13 +188,10 @@ type Options struct {
 	FaultSimWorkers int
 	// FaultSimLanes selects the lane width of bit-parallel fault
 	// simulation: 64 (default, one word per signal), 128 or 256 test
-	// sequences per sweep.  Detected sets are identical across widths;
-	// wider lanes amortise each ternary sweep over more patterns.
+	// sequences per gate evaluation.  Detected sets are identical
+	// across widths; wider lanes amortise each evaluation over more
+	// patterns.
 	FaultSimLanes int
-	// FaultSimEngine selects event-driven cone-limited settling
-	// (EventEngine, the default) or the full-sweep oracle
-	// (SweepEngine).  Detected sets are identical either way.
-	FaultSimEngine FaultSimEngine
 	// Faults selects which universes Generate, FaultSimBatch and
 	// MeasureProgramCoverage target: the chosen stuck-at model
 	// (SelectStuckAt, the default), the transition universe
@@ -283,11 +269,6 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("satpg: FaultSimLanes must be 64, 128 or 256, got %d", o.FaultSimLanes)
 	}
-	switch o.FaultSimEngine {
-	case EventEngine, SweepEngine:
-	default:
-		return fmt.Errorf("satpg: unknown fault-simulation engine %d (want EventEngine or SweepEngine)", o.FaultSimEngine)
-	}
 	switch o.Flow {
 	case FlowAuto, FlowCSSG, FlowDirect:
 	default:
@@ -313,7 +294,6 @@ func (o Options) atpgOpts() atpg.Options {
 		SkipFaultSim:    o.SkipFaultSim,
 		FaultSimWorkers: o.FaultSimWorkers,
 		FaultSimLanes:   o.FaultSimLanes,
-		FaultSimEngine:  o.FaultSimEngine,
 		SkipPodem:       o.SkipPodem,
 		PodemBudget:     o.PodemBudget,
 		PodemCycles:     o.PodemCycles,
@@ -479,7 +459,7 @@ func VerifyTest(g *CSSG, f Fault, t Test) bool {
 // the transition universe, or both) with the bit-parallel fault
 // simulator:
 // tests ride the lanes of each batch (Options.FaultSimLanes patterns
-// per sweep), only one representative per structural fault-equivalence
+// per gate evaluation), only one representative per structural fault-equivalence
 // class is simulated (verdicts fan out to the whole universe), the
 // class list is sharded across Options.FaultSimWorkers goroutines, and
 // faults are dropped from later batches once detected.
@@ -493,7 +473,7 @@ func FaultSimBatch(c *Circuit, model FaultModel, tests []Test, opts Options) (*C
 // silently).
 func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests []Test, opts Options) (*CoverageReport, error) {
 	return atpg.CoverageOfCtx(ctx, c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes, Engine: opts.FaultSimEngine,
+		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
 	})
 }
 
@@ -506,7 +486,7 @@ func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests [
 // bit-identical to the unsharded FaultSimBatch.
 func FaultSimBatchShard(c *Circuit, model FaultModel, tests []Test, shard, shards int, opts Options) (*CoverageReport, error) {
 	return atpg.CoverageOfOpts(c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes, Engine: opts.FaultSimEngine,
+		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
 		Shard: shard, Shards: shards,
 	})
 }
@@ -522,13 +502,13 @@ func MergeCoverageShards(reports []*CoverageReport) (*CoverageReport, error) {
 // MeasureProgramCoverage is FaultSimBatch for tester programs: the
 // stimulus/response view of the same measurement.
 func MeasureProgramCoverage(c *Circuit, progs []Program, model FaultModel, opts Options) (ProgramCoverageSummary, error) {
-	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers, opts.FaultSimLanes, opts.FaultSimEngine)
+	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers, opts.FaultSimLanes)
 }
 
 // CompactProgram shrinks a tester program set over the universe
 // Options.Faults selects, running the passes Options.Compact names on
-// the exact detection matrix (one batched fsim pass; lane width,
-// engine and worker options apply to it).  The compacted program's
+// the exact detection matrix (one batched fsim pass; the lane width
+// and worker options apply to it).  The compacted program's
 // measured coverage is bit-identical to the original's, per fault —
 // only tests whose every detection another kept test carries are
 // dropped.
@@ -542,7 +522,7 @@ func CompactProgram(c *Circuit, progs []Program, model FaultModel, opts Options)
 // ctx.Err() and no result.
 func CompactProgramCtx(ctx context.Context, c *Circuit, progs []Program, model FaultModel, opts Options) (*CompactionResult, error) {
 	return compact.CompactCtx(ctx, c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.Compact,
-		compact.Options{Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes, Engine: opts.FaultSimEngine})
+		compact.Options{Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes})
 }
 
 // Programs converts the result's tests into tester programs (stimulus

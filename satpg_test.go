@@ -296,7 +296,7 @@ func TestFacadeBaseline(t *testing.T) {
 // end: the combined universe must be the stuck-at list followed by the
 // transition list, the full ATPG flow must cover it with exactly
 // verified tests, and the batched coverage measurement must agree
-// fault for fault across both engines at every lane width.
+// fault for fault across every lane width and with the scalar oracle.
 func TestFacadeFaultSelections(t *testing.T) {
 	c, err := LoadBenchmark("si/vbe5b")
 	if err != nil {
@@ -329,26 +329,7 @@ func TestFacadeFaultSelections(t *testing.T) {
 		t.Fatalf("combined coverage suspiciously low: %s", res.Summary())
 	}
 
-	for _, lanes := range []int{64, 128, 256} {
-		ev, err := FaultSimBatch(c, InputStuckAt, res.Tests,
-			Options{Faults: SelectBoth, FaultSimLanes: lanes, FaultSimEngine: EventEngine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := FaultSimBatch(c, InputStuckAt, res.Tests,
-			Options{Faults: SelectBoth, FaultSimLanes: lanes, FaultSimEngine: SweepEngine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for fi := range ev.PerFault {
-			e, s := ev.PerFault[fi], sw.PerFault[fi]
-			if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
-				t.Fatalf("lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
-					lanes, e.Fault.Describe(c), e.Detected, e.TestIndex, e.Cycle,
-					s.Detected, s.TestIndex, s.Cycle)
-			}
-		}
-	}
+	crossWidthCompare(t, c, InputStuckAt, res.Tests, Options{Faults: SelectBoth}, []int{64, 128, 256}, 1)
 
 	// Program-side measurement accepts the combined universe too.
 	sum, err := MeasureProgramCoverage(c, Programs(g, res), InputStuckAt, Options{Faults: SelectBoth})
